@@ -125,8 +125,8 @@ type ExperimentSpec struct {
 	QuantizeF16 bool `json:"quantize_f16,omitempty"`
 	// LocalAgg enables BSP intra-machine aggregation.
 	LocalAgg bool `json:"local_agg,omitempty"`
-	// TreeAllReduce switches AR-SGD to the binomial-tree collective.
-	// Equivalent to Collective "tree"; kept for spec compatibility.
+	// TreeAllReduce is spec v1's older spelling of Collective "tree"; it
+	// is still read, and rejected next to any other collective.
 	TreeAllReduce bool `json:"tree_allreduce,omitempty"`
 	// Collective selects AR-SGD's AllReduce algorithm by name:
 	// ring (default) | tree | hierarchical | butterfly | torus.
@@ -314,7 +314,6 @@ func (s *ExperimentSpec) Config() (core.Config, error) {
 		Quantize8:   s.Quantize8,
 		QuantizeF16: s.QuantizeF16,
 
-		TreeAllReduce:    s.TreeAllReduce,
 		Collective:       s.Collective,
 		Overlay:          s.Overlay,
 		OverlayDegree:    s.OverlayDegree,
@@ -324,6 +323,12 @@ func (s *ExperimentSpec) Config() (core.Config, error) {
 		BarrierTimeoutSec: s.TimeoutSec,
 
 		PoolSize: PoolSize(s.Pool),
+	}
+	if s.TreeAllReduce {
+		if s.Collective != "" && s.Collective != "tree" {
+			return core.Config{}, fmt.Errorf("api: tree_allreduce conflicts with collective %q", s.Collective)
+		}
+		cfg.Collective = "tree"
 	}
 	cfg.Faults, err = s.faultSchedule()
 	if err != nil {

@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 )
 
@@ -93,6 +94,50 @@ func TestSpecCollectiveAndOverlay(t *testing.T) {
 		Transport: TransportChan, Real: &RealSpec{}}
 	if _, err := s.Validated(); err == nil {
 		t.Fatal("live transport accepted a gossip overlay")
+	}
+}
+
+// TestSpecTreeAllReduceAlias: spec v1's tree_allreduce still selects the
+// tree collective — a stored spec runs byte-identically to one naming
+// collective "tree" — and is still rejected next to another collective.
+func TestSpecTreeAllReduceAlias(t *testing.T) {
+	var stored ExperimentSpec
+	if err := json.Unmarshal([]byte(`{"version":"v1","algo":"arsgd","workers":4,"iters":6,"tree_allreduce":true}`),
+		&stored); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := stored.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Collective != "tree" {
+		t.Fatalf("tree_allreduce mapped to collective %q", cfg.Collective)
+	}
+	named := ExperimentSpec{Version: "v1", Algo: "arsgd", Workers: 4, Iters: 6, Collective: "tree"}
+	var bufs [2]bytes.Buffer
+	for i, s := range []ExperimentSpec{stored, named} {
+		res, err := Run(context.Background(), s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.WriteJSON(&bufs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(bufs[0].Bytes(), bufs[1].Bytes()) {
+		t.Fatal("tree_allreduce and collective \"tree\" runs differ")
+	}
+
+	both := named
+	both.TreeAllReduce = true
+	if _, err := both.Config(); err != nil {
+		t.Fatalf("tree_allreduce with collective \"tree\" rejected: %v", err)
+	}
+	for _, other := range []string{"ring", "butterfly"} {
+		s := ExperimentSpec{Algo: "arsgd", Workers: 8, TreeAllReduce: true, Collective: other}
+		if _, err := s.Config(); err == nil {
+			t.Fatalf("tree_allreduce accepted next to collective %q", other)
+		}
 	}
 }
 

@@ -128,7 +128,7 @@ func finishReduce(o *CollectiveOpts, set *contribSet) error {
 // every member of the sub-ring holds the union of all members' sets,
 // by chain propagation) and a timing-only all-gather pass. totalBytes is
 // the full-vector wire size; each hop moves one of len(ranks) chunks.
-func subRing(p *des.Proc, o *CollectiveOpts, ranks []int, phase int, set *contribSet, totalBytes int64) (des.Time, error) {
+func subRing(o *CollectiveOpts, ranks []int, phase int, set *contribSet, totalBytes int64) (des.Time, error) {
 	L := len(ranks)
 	if L == 1 {
 		return 0, nil
@@ -146,21 +146,22 @@ func subRing(p *des.Proc, o *CollectiveOpts, ranks []int, phase int, set *contri
 	right := o.Nodes[ranks[(pos+1)%L]]
 	var wire des.Time
 
-	send := func(c int, carry bool) {
+	send := func(c int, carry bool) error {
 		var parts []simnet.Part
 		if set != nil && carry {
 			parts = set.snapshot()
 		}
-		o.Net.Send(simnet.Msg{From: o.Nodes[o.Self], To: right, Kind: o.Kind, Clock: o.Clock,
-			Seg: segID(phase, c), Bytes: chunkBytes(c), Parts: parts})
+		return o.send(simnet.Msg{To: right, Seg: segID(phase, c), Bytes: chunkBytes(c), Parts: parts})
 	}
 
 	// Reduce-scatter: snapshots accumulate around the ring; after L−1
 	// receives each member has merged every other member's set.
 	for s := 0; s < L-1; s++ {
-		send(((pos-s)%L+L)%L, true)
+		if err := send(((pos-s)%L+L)%L, true); err != nil {
+			return wire, err
+		}
 		c := ((pos-s-1)%L + L) % L
-		m, err := recvMatch(p, o, segID(phase, c), true)
+		m, err := recvMatch(o, segID(phase, c), anyLen)
 		if err != nil {
 			return wire, err
 		}
@@ -172,9 +173,11 @@ func subRing(p *des.Proc, o *CollectiveOpts, ranks []int, phase int, set *contri
 	// All-gather: the reduced chunks circulate back; payload already
 	// complete, so these messages are timing-only.
 	for s := 0; s < L-1; s++ {
-		send(((pos+1-s)%L+L)%L, false)
+		if err := send(((pos+1-s)%L+L)%L, false); err != nil {
+			return wire, err
+		}
 		c := ((pos-s)%L + L) % L
-		m, err := recvMatch(p, o, segID(phase, c), true)
+		m, err := recvMatch(o, segID(phase, c), anyLen)
 		if err != nil {
 			return wire, err
 		}
@@ -188,7 +191,7 @@ func subRing(p *des.Proc, o *CollectiveOpts, ranks []int, phase int, set *contri
 // fabric (chunked over the leader count), and the result fans back out
 // intra-machine. Wire cost per member ≈ 2·B intra; per leader ≈
 // (g−1)·B intra-in + 2·(L−1)·(B/L) inter + (g−1)·B intra-out.
-func hierarchicalAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
+func hierarchicalAllReduce(o *CollectiveOpts) (des.Time, error) {
 	n := len(o.Nodes)
 	if n == 1 {
 		return 0, nil
@@ -214,13 +217,15 @@ func hierarchicalAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
 		if set != nil {
 			parts = set.snapshot()
 		}
-		o.Net.Send(simnet.Msg{From: o.Nodes[o.Self], To: o.Nodes[leader], Kind: o.Kind, Clock: o.Clock,
-			Seg: segID(phGather, 0), Bytes: o.Bytes, Parts: parts})
-		m, err := recvMatch(p, o, segID(phBcast, 0), true)
+		if err := o.send(simnet.Msg{To: o.Nodes[leader], Seg: segID(phGather, 0), Bytes: o.Bytes,
+			Parts: parts}); err != nil {
+			return wire, err
+		}
+		m, err := recvMatch(o, segID(phBcast, 0), len(o.Vec))
+		wire += m.WireSec
 		if err != nil {
 			return wire, err
 		}
-		wire += m.WireSec
 		if o.Vec != nil {
 			copy(o.Vec, m.Vec)
 		}
@@ -228,7 +233,7 @@ func hierarchicalAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
 	}
 
 	for i := 0; i < len(my)-1; i++ {
-		m, err := recvMatch(p, o, segID(phGather, 0), true)
+		m, err := recvMatch(o, segID(phGather, 0), anyLen)
 		if err != nil {
 			return wire, err
 		}
@@ -241,7 +246,7 @@ func hierarchicalAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
 	for g, members := range o.Groups {
 		leaders[g] = members[0]
 	}
-	w, err := subRing(p, o, leaders, phRing, set, o.Bytes)
+	w, err := subRing(o, leaders, phRing, set, o.Bytes)
 	wire += w
 	if err != nil {
 		return wire, err
@@ -249,15 +254,11 @@ func hierarchicalAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
 	if err := finishReduce(o, set); err != nil {
 		return wire, err
 	}
-	// One shared result copy for all members; receivers copy out, never
-	// mutate.
-	var result []float32
-	if o.Vec != nil {
-		result = append([]float32(nil), o.Vec...)
-	}
 	for _, r := range my[1:] {
-		o.Net.Send(simnet.Msg{From: o.Nodes[o.Self], To: o.Nodes[r], Kind: o.Kind, Clock: o.Clock,
-			Seg: segID(phBcast, 0), Bytes: o.Bytes, Vec: result})
+		if err := o.send(simnet.Msg{To: o.Nodes[r], Seg: segID(phBcast, 0), Bytes: o.Bytes,
+			Vec: o.Vec}); err != nil {
+			return wire, err
+		}
 	}
 	return wire, nil
 }
@@ -267,7 +268,7 @@ func hierarchicalAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
 // mirrored sizes) over the largest power-of-two subset; the n−p2 leftover
 // ranks fold into a partner before and after. Wire cost per active rank ≈
 // 2·B·(p2−1)/p2 + the pre/post folds.
-func butterflyAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
+func butterflyAllReduce(o *CollectiveOpts) (des.Time, error) {
 	n := len(o.Nodes)
 	if n == 1 {
 		return 0, nil
@@ -281,9 +282,8 @@ func butterflyAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
 	self := o.Self
 	var wire des.Time
 
-	send := func(to, seg int, bytes int64, parts []simnet.Part, vec []float32) {
-		o.Net.Send(simnet.Msg{From: o.Nodes[self], To: o.Nodes[to], Kind: o.Kind, Clock: o.Clock,
-			Seg: seg, Bytes: bytes, Parts: parts, Vec: vec})
+	send := func(to, seg int, bytes int64, parts []simnet.Part, vec []float32) error {
+		return o.send(simnet.Msg{To: o.Nodes[to], Seg: seg, Bytes: bytes, Parts: parts, Vec: vec})
 	}
 
 	// Pre-fold: the odd rank of each leftover pair hands its contribution
@@ -293,19 +293,21 @@ func butterflyAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
 		if set != nil {
 			parts = set.snapshot()
 		}
-		send(self-1, segID(phPre, 0), o.Bytes, parts, nil)
-		m, err := recvMatch(p, o, segID(phPost, 0), true)
+		if err := send(self-1, segID(phPre, 0), o.Bytes, parts, nil); err != nil {
+			return wire, err
+		}
+		m, err := recvMatch(o, segID(phPost, 0), len(o.Vec))
+		wire += m.WireSec
 		if err != nil {
 			return wire, err
 		}
-		wire += m.WireSec
 		if o.Vec != nil {
 			copy(o.Vec, m.Vec)
 		}
 		return wire, nil
 	}
 	if self < 2*r {
-		m, err := recvMatch(p, o, segID(phPre, 0), true)
+		m, err := recvMatch(o, segID(phPre, 0), anyLen)
 		if err != nil {
 			return wire, err
 		}
@@ -334,8 +336,10 @@ func butterflyAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
 		if set != nil {
 			parts = set.snapshot()
 		}
-		send(partner, segID(phHalf, t), o.Bytes/int64(uint(2)<<uint(t)), parts, nil)
-		m, err := recvMatch(p, o, segID(phHalf, t), true)
+		if err := send(partner, segID(phHalf, t), o.Bytes/int64(uint(2)<<uint(t)), parts, nil); err != nil {
+			return wire, err
+		}
+		m, err := recvMatch(o, segID(phHalf, t), anyLen)
 		if err != nil {
 			return wire, err
 		}
@@ -352,8 +356,10 @@ func butterflyAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
 	t = 0
 	for mask := 1; mask < p2; mask *= 2 {
 		partner := unai(ai ^ mask)
-		send(partner, segID(phDouble, t), o.Bytes*int64(mask)/int64(p2), nil, nil)
-		m, err := recvMatch(p, o, segID(phDouble, t), true)
+		if err := send(partner, segID(phDouble, t), o.Bytes*int64(mask)/int64(p2), nil, nil); err != nil {
+			return wire, err
+		}
+		m, err := recvMatch(o, segID(phDouble, t), anyLen)
 		if err != nil {
 			return wire, err
 		}
@@ -361,11 +367,7 @@ func butterflyAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
 		t++
 	}
 	if self < 2*r {
-		var result []float32
-		if o.Vec != nil {
-			result = append([]float32(nil), o.Vec...)
-		}
-		send(self+1, segID(phPost, 0), o.Bytes, nil, result)
+		return wire, send(self+1, segID(phPost, 0), o.Bytes, nil, o.Vec)
 	}
 	return wire, nil
 }
@@ -375,7 +377,7 @@ func butterflyAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
 // Row rings spread each row's contributions to all its members; column
 // rings then union complete row sets, so every rank finishes with all n.
 // Wire cost per rank ≈ 2·B·(cols−1)/cols + 2·B·(rows−1)/rows.
-func torusAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
+func torusAllReduce(o *CollectiveOpts) (des.Time, error) {
 	if len(o.Nodes) == 1 {
 		return 0, nil
 	}
@@ -391,12 +393,12 @@ func torusAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
 		colRanks[i] = i*cols + col
 	}
 	var wire des.Time
-	w, err := subRing(p, o, rowRanks, phRow, set, o.Bytes)
+	w, err := subRing(o, rowRanks, phRow, set, o.Bytes)
 	wire += w
 	if err != nil {
 		return wire, err
 	}
-	w, err = subRing(p, o, colRanks, phCol, set, o.Bytes)
+	w, err = subRing(o, colRanks, phCol, set, o.Bytes)
 	wire += w
 	if err != nil {
 		return wire, err

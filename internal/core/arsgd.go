@@ -25,28 +25,23 @@ import (
 func runARSGD(x *exp) {
 	cfg := x.cfg
 	W := cfg.Workers
-	op := comm.OpRingAllReduce
-	if cfg.TreeAllReduce {
-		op = comm.OpTreeAllReduce
+	op, err := comm.OpByName(cfg.Collective)
+	if err != nil {
+		panic(fmt.Sprintf("arsgd: %v", err))
 	}
 	// The topology-aware variants need the machine layout (or grid shape)
 	// up front; Validate has already vetted cluster and worker count, and
 	// rejects them combined with faults/elastic, so membership is fixed.
 	var groups [][]int
 	var torusRows, torusCols int
-	switch cfg.Collective {
-	case "hierarchical":
-		op = comm.OpHierarchicalAllReduce
+	switch op {
+	case comm.OpHierarchicalAllReduce:
 		tp, err := topo.New(cfg.Cluster, W)
 		if err != nil {
 			panic(fmt.Sprintf("arsgd: %v", err))
 		}
 		groups = tp.Groups
-	case "butterfly":
-		op = comm.OpButterflyAllReduce
-	case "torus":
-		op = comm.OpTorusAllReduce
-		var err error
+	case comm.OpTorusAllReduce:
 		torusRows, torusCols, err = topo.TorusShape(W)
 		if err != nil {
 			panic(fmt.Sprintf("arsgd: %v", err))
@@ -94,11 +89,8 @@ func runARSGD(x *exp) {
 					if g := gf.get(); g != nil {
 						agg = append([]float32(nil), g...)
 						// Quantized AllReduce: each worker's own contribution
-						// is quantized once before entering the collective —
-						// the live ring/tree ships first-hop chunks in codec
-						// form and reconstructs with the same formula, so sim
-						// and live observe identical inputs. Partial sums
-						// stay dense on both paths.
+						// is quantized once before entering the collective;
+						// partial sums stay dense.
 						if cfg.Quantize8 {
 							grad.QuantizeRoundTrip(agg)
 						} else if cfg.QuantizeF16 {
@@ -107,11 +99,10 @@ func runARSGD(x *exp) {
 					}
 				}
 				// The sim cost model keeps dense per-hop Bytes even when the
-				// input is quantized: only the first reduce-scatter hop (and
-				// tree leaf pushes) carries codec payloads on the live path —
-				// partial sums travel dense — so halving every hop would
-				// overstate the savings. Real wire savings are measured on
-				// the live PS path.
+				// input is quantized: only the messages comm marks Own (the
+				// first reduce-scatter hop, tree leaf pushes) may travel in
+				// codec form, so halving every hop would overstate the
+				// savings.
 				reduce := func(vec []float32, vlen int) des.Time {
 					_, wire := collective(p, comm.CollectiveOpts{
 						Op: op, Net: x.net, Nodes: nodes, Self: self,

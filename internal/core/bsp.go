@@ -158,13 +158,9 @@ func runBSP(x *exp) {
 					} else {
 						// Member: hand the gradient to the leader and wait
 						// for the post-global broadcast below.
-						var payload []float32
-						if grads != nil {
-							payload = append([]float32(nil), grads...)
-						}
 						collective(p, comm.CollectiveOpts{
 							Op: comm.OpGather, Net: x.net, Nodes: group, Self: selfInGroup,
-							Vec: payload, Bytes: x.fullBytes(), Kind: kindLocalGather})
+							Vec: grads, Bytes: x.fullBytes(), Kind: kindLocalGather})
 					}
 				}
 

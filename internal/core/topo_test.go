@@ -156,7 +156,6 @@ func TestTopoConfigRejects(t *testing.T) {
 		{"unknown collective", func(c *Config) { c.Collective = "hypercube" }},
 		{"collective on non-ARSGD", func(c *Config) { c.Algo = BSP; c.Collective = "hierarchical" }},
 		{"torus on prime world", func(c *Config) { c.Workers = 7; c.Cluster.Machines = 2; c.Collective = "torus" }},
-		{"tree flag conflicts with name", func(c *Config) { c.TreeAllReduce = true; c.Collective = "butterfly" }},
 		{"elastic with topo collective", func(c *Config) { c.Elastic = true; c.Collective = "hierarchical" }},
 		{"overlay on ARSGD", func(c *Config) { c.Overlay = "kregular" }},
 		{"infeasible kregular degree", func(c *Config) {

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"disttrain/internal/cluster"
+	"disttrain/internal/comm"
 	"disttrain/internal/core"
 	"disttrain/internal/fault"
 	"disttrain/internal/nn"
@@ -81,10 +82,9 @@ func Validate(cfg *core.Config) error {
 	case cfg.ADPSGDNoBipartite:
 		return fmt.Errorf("live: the AD-PSGD no-bipartite ablation is simulator-only")
 	}
-	switch cfg.Collective {
-	case "", "ring", "tree": // tree maps onto the live binomial-tree path
-	default:
-		return fmt.Errorf("live: the %s collective is simulator-only (live supports ring and tree)", cfg.Collective)
+	if op, _ := comm.OpByName(cfg.Collective); op != comm.OpRingAllReduce && op != comm.OpTreeAllReduce {
+		return fmt.Errorf("live: the %s collective is simulator-only: its messages carry every rank's "+
+			"original contribution, world size × vector bytes on a real wire (live supports ring and tree)", cfg.Collective)
 	}
 	if cfg.Overlay != "" {
 		return fmt.Errorf("live: gossip overlays are simulator-only")

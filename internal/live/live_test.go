@@ -152,7 +152,9 @@ func TestLiveQuantizedARSGDBitIdenticalToSim(t *testing.T) {
 	for _, tree := range []bool{false, true} {
 		for _, f16 := range []bool{false, true} {
 			cfg := liveConfig(core.ARSGD, 4, 6, 42)
-			cfg.TreeAllReduce = tree
+			if tree {
+				cfg.Collective = "tree"
+			}
 			if f16 {
 				cfg.QuantizeF16 = true
 			} else {
@@ -195,11 +197,13 @@ func TestLiveQuantizedAsyncComplete(t *testing.T) {
 }
 
 // TestLiveARSGDBitIdenticalToSim: the ring AllReduce path, and with
-// TreeAllReduce the binomial-tree path, both bit-identical.
+// Collective "tree" the binomial-tree path, both bit-identical.
 func TestLiveARSGDBitIdenticalToSim(t *testing.T) {
 	for _, tree := range []bool{false, true} {
 		cfg := liveConfig(core.ARSGD, 4, 6, 42)
-		cfg.TreeAllReduce = tree
+		if tree {
+			cfg.Collective = "tree"
+		}
 		sim := simParams(t, cfg)
 		res, err := RunLoopback(cfg)
 		if err != nil {
@@ -380,103 +384,6 @@ func TestValidateRejectsUnsupported(t *testing.T) {
 	}
 }
 
-// chanGroup builds a W-rank channel mesh with one mailbox per rank for
-// collective unit tests.
-func chanGroup(w int) ([]*mailbox, []int) {
-	cn := xport.NewChanNet(w)
-	mbs := make([]*mailbox, w)
-	nodes := make([]int, w)
-	for i := 0; i < w; i++ {
-		mbs[i] = newMailbox(cn.Endpoint(i))
-		nodes[i] = i
-	}
-	return mbs, nodes
-}
-
-// TestLiveCollectivesSum checks ring and tree AllReduce against the exact
-// expected sum, using integer-valued floats so order cannot blur the
-// comparison, at sizes that exercise odd rings and non-power-of-two trees.
-func TestLiveCollectivesSum(t *testing.T) {
-	for _, w := range []int{2, 3, 4, 5} {
-		for _, useTree := range []bool{false, true} {
-			mbs, nodes := chanGroup(w)
-			vecs := make([][]float32, w)
-			want := make([]float32, 7)
-			for i := range vecs {
-				vecs[i] = make([]float32, 7)
-				for j := range vecs[i] {
-					vecs[i][j] = float32((i + 1) * (j + 1))
-					want[j] += vecs[i][j]
-				}
-			}
-			errs := make(chan error, w)
-			for i := 0; i < w; i++ {
-				i := i
-				go func() {
-					if useTree {
-						errs <- treeAllReduce(mbs[i], nodes, i, 1, vecs[i], nil)
-					} else {
-						errs <- ringAllReduce(mbs[i], nodes, i, 1, vecs[i], nil)
-					}
-				}()
-			}
-			for i := 0; i < w; i++ {
-				if err := <-errs; err != nil {
-					t.Fatalf("w=%d tree=%v: %v", w, useTree, err)
-				}
-			}
-			for i := range vecs {
-				for j := range want {
-					if vecs[i][j] != want[j] {
-						t.Fatalf("w=%d tree=%v rank %d elem %d: got %g want %g",
-							w, useTree, i, j, vecs[i][j], want[j])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestLiveGatherBroadcast checks the remaining collectives over the
-// channel mesh.
-func TestLiveGatherBroadcast(t *testing.T) {
-	const w = 4
-	mbs, nodes := chanGroup(w)
-	vecs := make([][]float32, w)
-	var want float32
-	for i := range vecs {
-		vecs[i] = []float32{float32(i + 1)}
-		want += vecs[i][0]
-	}
-	errs := make(chan error, w)
-	for i := 0; i < w; i++ {
-		i := i
-		go func() { errs <- gather(mbs[i], nodes, i, 1, vecs[i]) }()
-	}
-	for i := 0; i < w; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if vecs[0][0] != want {
-		t.Fatalf("gather: leader has %g, want %g", vecs[0][0], want)
-	}
-	for i := 0; i < w; i++ {
-		i := i
-		go func() { errs <- broadcast(mbs[i], nodes, i, 2, vecs[i]) }()
-	}
-	for i := 0; i < w; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := range vecs {
-		if vecs[i][0] != want {
-			t.Fatalf("broadcast: rank %d has %g, want %g", i, vecs[i][0], want)
-		}
-	}
-}
-
 // TestDeriveStreamsMatchSim verifies the stream replay against the
 // documented derivation order: distinct shard streams per worker,
 // identical init streams across workers.
@@ -495,5 +402,92 @@ func TestDeriveStreamsMatchSim(t *testing.T) {
 	b0 := deriveStreams(9, 0)
 	if b0.shard.Uint64() != deriveStreams(9, 0).shard.Uint64() {
 		t.Fatal("derivation must be deterministic")
+	}
+}
+
+// TestServerRejectsMalformedFrames feeds the PS crafted worker frames: a
+// gradient whose vector is not the model's length, or a codec payload in a
+// dense run, must fail the server loop with an error — not panic, and not
+// be summed or applied as if it were whole.
+func TestServerRejectsMalformedFrames(t *testing.T) {
+	probe := liveConfig(core.BSP, 2, 2, 1)
+	vecLen := len(probe.Real.Factory(rng.New(1)).FlatParams(nil))
+	int8Payload := xport.QuantVec{Codec: xport.QuantInt8, Scale: 1, I8: make([]int8, vecLen)}
+	cases := []struct {
+		name  string
+		algo  core.Algo
+		quant bool
+		f     xport.Frame
+		want  string
+	}{
+		{"bsp long vec", core.BSP, false, xport.Frame{Vec: make([]float32, vecLen+1)}, "elements"},
+		{"bsp short vec", core.BSP, false, xport.Frame{Vec: make([]float32, vecLen-1)}, "elements"},
+		{"bsp nil vec", core.BSP, false, xport.Frame{}, "elements"},
+		{"bsp codec in dense run", core.BSP, false, xport.Frame{Data: int8Payload.AppendEncode(nil)}, "dense run"},
+		{"bsp int8 short payload", core.BSP, true, xport.Frame{Data: (&xport.QuantVec{
+			Codec: xport.QuantInt8, Scale: 1, I8: make([]int8, vecLen-1)}).AppendEncode(nil)}, "elements"},
+		{"asp nil vec", core.ASP, false, xport.Frame{}, "elements"},
+		{"ssp short delta", core.SSP, false, xport.Frame{Vec: make([]float32, 3)}, "elements"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := liveConfig(tc.algo, 2, 2, 1)
+			cfg.Quantize8 = tc.quant
+			if err := Validate(&cfg); err != nil {
+				t.Fatal(err)
+			}
+			cn := xport.NewChanNet(cfg.Workers + 1)
+			defer func() {
+				for r := 0; r <= cfg.Workers; r++ {
+					cn.Endpoint(r).Close()
+				}
+			}()
+			sv := newServer(&cfg, cn.Endpoint(cfg.Workers), nil)
+			errc := make(chan error, 1)
+			go func() {
+				_, err := sv.run()
+				errc <- err
+			}()
+			f := tc.f
+			f.Kind, f.From, f.Clock = kindGrad, 0, 1
+			if err := cn.Endpoint(0).Send(cfg.Workers, &f); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-errc:
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("server returned %v, want an error containing %q", err, tc.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("server accepted the malformed frame")
+			}
+		})
+	}
+}
+
+// TestFingerprintCoversCollectiveCodecSchedule: a worker launched with a
+// different collective, gradient codec or learning-rate schedule must fail
+// the HELLO check instead of diverging silently.
+func TestFingerprintCoversCollectiveCodecSchedule(t *testing.T) {
+	base := liveConfig(core.ARSGD, 4, 6, 42)
+	fp := fingerprint(&base)
+	ring := base
+	ring.Collective = "ring"
+	if got := fingerprint(&ring); got != fp {
+		t.Fatalf("default and explicit ring differ: %q vs %q", got, fp)
+	}
+	for name, mut := range map[string]func(*core.Config){
+		"tree":   func(c *core.Config) { c.Collective = "tree" },
+		"int8":   func(c *core.Config) { c.Quantize8 = true },
+		"f16":    func(c *core.Config) { c.QuantizeF16 = true },
+		"lr":     func(c *core.Config) { c.LR.Base = 0.1 },
+		"warmup": func(c *core.Config) { c.LR.WarmupIters = 3 },
+		"decay":  func(c *core.Config) { c.LR.DecayAt, c.LR.DecayFactor = []int{4}, 0.1 },
+	} {
+		cfg := base
+		mut(&cfg)
+		if fingerprint(&cfg) == fp {
+			t.Errorf("%s: fingerprint unchanged (%q)", name, fp)
+		}
 	}
 }

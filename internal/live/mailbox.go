@@ -22,8 +22,10 @@ const (
 	kindGossip      uint16 = 9
 	kindExchangeReq uint16 = 10
 	kindExchangeRep uint16 = 11
-	kindGather      uint16 = 12
-	kindBcast       uint16 = 13
+	// kindResume is a restarted worker's notice to its AR-SGD peers that
+	// its new incarnation is listening (Clock = its first round). It has
+	// no simulator counterpart; 12 and 13 stay unused.
+	kindResume uint16 = 14
 )
 
 // Control-plane frame kinds, used on the rendezvous connection and for the

@@ -2,22 +2,22 @@ package live
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"disttrain/internal/core"
 	"disttrain/internal/grad"
-	"disttrain/internal/trace"
+	"disttrain/internal/simnet"
 	"disttrain/internal/xport"
 )
 
 // Gradient quantization on the live path. Workers compress gradient-bearing
-// frames (PS exchanges, AllReduce leaf contributions) into xport.QuantVec
-// payloads carried in Frame.Data; receivers reconstruct the dense vector
-// with the exact arithmetic grad's codecs use. The sender always round-trips
-// its own copy through the codec first, so every participant — including the
-// sender — observes the same post-quantization values the simulator's
-// QuantizeRoundTrip model produces. That is what keeps a quantized live BSP
-// or AR-SGD run bit-identical to the quantized simulator run.
+// frames (PS exchanges, the AllReduce messages comm marks Own) into
+// xport.QuantVec payloads carried in Frame.Data; receivers reconstruct the
+// dense vector with the exact arithmetic grad's codecs use. The sender
+// always round-trips its own copy through the codec first, so every
+// participant — including the sender — observes the same post-quantization
+// values the simulator's QuantizeRoundTrip model produces. That is what
+// keeps a quantized live BSP or AR-SGD run bit-identical to the quantized
+// simulator run.
 //
 // AllReduce partial sums and all parameter frames stay dense: a partial sum
 // is no longer on the codec's grid, so re-encoding it would diverge from the
@@ -68,9 +68,10 @@ func dequantizeVec(qv xport.QuantVec) []float32 {
 	return out
 }
 
-// slice returns the payload restricted to elements [lo, hi). An int8 slice
-// keeps the full-vector scale, so the chunk reconstructs to exactly the same
-// floats as the corresponding slice of the round-tripped full vector.
+// sliceQuantVec returns the payload restricted to elements [lo, hi). An
+// int8 slice keeps the full-vector scale, so the chunk reconstructs to
+// exactly the same floats as the corresponding slice of the round-tripped
+// full vector.
 func sliceQuantVec(qv xport.QuantVec, lo, hi int) xport.QuantVec {
 	out := xport.QuantVec{Codec: qv.Codec, Scale: qv.Scale}
 	switch qv.Codec {
@@ -83,9 +84,13 @@ func sliceQuantVec(qv xport.QuantVec, lo, hi int) xport.QuantVec {
 }
 
 // decodeGradPayload replaces a frame's codec payload with the reconstructed
-// dense vector in Vec. The payload must match the configured codec and the
-// expected element count — a mismatch is a protocol violation, not a crash.
-func decodeGradPayload(codec xport.QuantCodec, f *xport.Frame, wantLen int) error {
+// dense vector in Vec. A frame of a dense run, or one whose payload does not
+// match the configured codec, is a protocol violation, not a crash; callers
+// check the element count.
+func decodeGradPayload(codec xport.QuantCodec, f *xport.Frame) error {
+	if codec == 0 {
+		return fmt.Errorf("live: codec payload from %d in a dense run", f.From)
+	}
 	qv, err := xport.DecodeQuantVec(f.Data)
 	if err != nil {
 		return fmt.Errorf("live: gradient frame from %d: %w", f.From, err)
@@ -93,23 +98,9 @@ func decodeGradPayload(codec xport.QuantCodec, f *xport.Frame, wantLen int) erro
 	if qv.Codec != codec {
 		return fmt.Errorf("live: gradient frame from %d: codec %d, want %d", f.From, qv.Codec, codec)
 	}
-	if qv.Len() != wantLen {
-		return fmt.Errorf("live: gradient frame from %d: %d elements, want %d", f.From, qv.Len(), wantLen)
-	}
 	f.Vec = dequantizeVec(qv)
 	f.Data = nil
 	return nil
-}
-
-// arQuant carries the codec context into an AllReduce: the caller's
-// full-vector payload (sliced for leaf-contribution sends), the per-rank
-// bytes-saved counter, and the span hook for quantize/dequantize tracing.
-// A nil *arQuant means a dense run.
-type arQuant struct {
-	qv    xport.QuantVec
-	codec xport.QuantCodec
-	saved *atomic.Int64
-	span  func(name, cat string) *trace.WallSpan
 }
 
 // encodeGrad fills f with the gradient payload for one PS exchange: dense
@@ -128,16 +119,61 @@ func (w *worker) encodeGrad(g []float32, f *xport.Frame) {
 	sp.End()
 }
 
-// arQuantize prepares the AllReduce codec context for one round: it
-// round-trips agg in place (the simulator quantizes each worker's own
-// contribution before it enters the collective) and returns the context the
-// collective uses to ship leaf chunks in codec form. Dense runs return nil.
-func (w *worker) arQuantize(agg []float32) *arQuant {
+// arPort is the live backend of comm's collectives: each comm message
+// travels as one frame on the worker's mailbox, with the same Kind, Clock
+// and Seg tags. A message comm marks Own is the sender's round-tripped
+// contribution; in a quantized run it ships as a slice of this round's
+// codec payload, which reconstructs to exactly the values it carries.
+type arPort struct {
+	w  *worker
+	qv xport.QuantVec // this round's encoded contribution (codec runs)
+}
+
+// quantize round-trips agg, the worker's contribution to this round, in
+// place — the simulator quantizes each worker's own contribution before it
+// enters the collective — and keeps the payload for Own sends.
+func (pt *arPort) quantize(agg []float32) {
+	w := pt.w
 	if w.codec == 0 {
-		return nil
+		return
 	}
 	sp := w.span("quantize", "quant")
-	qv := quantizeVec(w.codec, agg)
+	pt.qv = quantizeVec(w.codec, agg)
 	sp.End()
-	return &arQuant{qv: qv, codec: w.codec, saved: &w.saved, span: w.span}
+}
+
+// Send frames m. The transport encodes the frame before Send returns, so
+// m.Vec is not retained.
+func (pt *arPort) Send(m simnet.Msg) error {
+	w := pt.w
+	f := &xport.Frame{Kind: uint16(m.Kind), From: int32(m.From), Clock: int32(m.Clock),
+		Seg: int32(m.Seg), Aux: m.Aux, Vec: m.Vec}
+	if m.Own && w.codec != 0 {
+		// An int8 slice keeps the full-vector scale, so the chunk decodes
+		// to exactly the round-tripped values in m.Vec.
+		qv := sliceQuantVec(pt.qv, m.Off, m.Off+len(m.Vec))
+		f.Vec = nil
+		f.Data = qv.AppendEncode(nil)
+		w.saved.Add(int64(4*len(m.Vec)) - int64(len(f.Data)))
+	}
+	return w.ep.Send(m.To, f)
+}
+
+// Recv takes the next frame from the mailbox, decoding a codec payload.
+func (pt *arPort) Recv() (simnet.Msg, error) {
+	w := pt.w
+	f, err := w.mb.recv(recvTimeout)
+	if err != nil {
+		return simnet.Msg{}, fmt.Errorf("live: allreduce recv: %w", err)
+	}
+	if len(f.Data) > 0 {
+		sp := w.span("dequantize", "quant")
+		err := decodeGradPayload(w.codec, &f)
+		sp.End()
+		if err != nil {
+			return simnet.Msg{}, err
+		}
+	}
+	return simnet.Msg{From: int(f.From), To: w.rank, Kind: int(f.Kind), Clock: int(f.Clock),
+		Seg: int(f.Seg), Aux: f.Aux, Vec: f.Vec}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"disttrain/internal/comm"
 	"disttrain/internal/core"
 	"disttrain/internal/trace"
 	"disttrain/internal/xport"
@@ -76,9 +77,10 @@ func readAnyCtl(c net.Conn, d time.Duration) (xport.Frame, error) {
 // own — catching a worker launched with a stale flag before it can skew
 // the run.
 func fingerprint(cfg *core.Config) string {
-	return fmt.Sprintf("%s|w%d|i%d|s%d|m%v|wd%v|st%d|tau%d|mr%v|gp%v|tree%v|b%d|n%d",
+	op, _ := comm.OpByName(cfg.Collective) // "" and "ring" agree
+	return fmt.Sprintf("%s|w%d|i%d|s%d|m%v|wd%v|st%d|tau%d|mr%v|gp%v|%v|q%d|lr%v|b%d|n%d",
 		cfg.Algo, cfg.Workers, cfg.Iters, cfg.Seed, cfg.Momentum, cfg.WeightDecay,
-		cfg.Staleness, cfg.Tau, cfg.MovingRate, cfg.GossipP, cfg.TreeAllReduce,
+		cfg.Staleness, cfg.Tau, cfg.MovingRate, cfg.GossipP, op, quantCodec(cfg), cfg.LR,
 		cfg.Real.Batch, cfg.Real.Train.N())
 }
 

@@ -63,15 +63,23 @@ func newServer(cfg *core.Config, ep xport.Endpoint, o *Options) *server {
 	return sv
 }
 
-// dequantGrad reconstructs a quantized gradient frame's dense vector into
-// f.Vec; dense runs pass frames through untouched.
-func (sv *server) dequantGrad(f *xport.Frame) error {
-	if sv.codec == 0 {
-		return nil
+// checkVec leaves a worker frame's dense vector in f.Vec, reconstructing a
+// quantized payload. A frame from the wire whose vector is not vecLen long,
+// or a codec payload in a dense run, is an error: summed or applied, it
+// would panic or silently skew the model.
+func (sv *server) checkVec(f *xport.Frame) error {
+	if sv.codec != 0 || len(f.Data) > 0 {
+		sp := sv.tr.StartSpan("dequantize", "quant", coordPid, 0)
+		err := decodeGradPayload(sv.codec, f)
+		sp.End()
+		if err != nil {
+			return err
+		}
 	}
-	sp := sv.tr.StartSpan("dequantize", "quant", coordPid, 0)
-	defer sp.End()
-	return decodeGradPayload(sv.codec, f, sv.vecLen)
+	if len(f.Vec) != sv.vecLen {
+		return fmt.Errorf("live: frame from %d: %d elements, want %d", f.From, len(f.Vec), sv.vecLen)
+	}
+	return nil
 }
 
 // maybeCheckpoint writes the global parameters as a PS checkpoint if step
@@ -162,7 +170,7 @@ func (sv *server) runBSP() error {
 			if err != nil {
 				return err
 			}
-			if err := sv.dequantGrad(&f); err != nil {
+			if err := sv.checkVec(&f); err != nil {
 				return err
 			}
 			msgs = append(msgs, f)
@@ -201,7 +209,7 @@ func (sv *server) runASP() error {
 		}
 		switch f.Kind {
 		case kindGrad:
-			if err := sv.dequantGrad(&f); err != nil {
+			if err := sv.checkVec(&f); err != nil {
 				return err
 			}
 			sv.global.ApplyGrad(sv.assign[0], f.Vec, 1, cfg.LR.At(int(f.Clock)-1))
@@ -264,7 +272,7 @@ func (sv *server) runSSP() error {
 		case kindGrad:
 			// Petuum-style SSP: the worker sends its locally applied
 			// *update*; the PS accumulates it.
-			if err := sv.dequantGrad(&f); err != nil {
+			if err := sv.checkVec(&f); err != nil {
 				return err
 			}
 			sv.global.AddDelta(sv.assign[0], f.Vec)
@@ -304,6 +312,9 @@ func (sv *server) runEASGD() error {
 		}
 		switch f.Kind {
 		case kindEASGDPush:
+			if err := sv.checkVec(&f); err != nil {
+				return err
+			}
 			// ElasticUpdate mutates the pushed vector in place; the reply
 			// carries the updated local parameters.
 			sv.global.ElasticUpdate(sv.assign[0], f.Vec, alpha)

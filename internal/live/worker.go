@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"disttrain/internal/comm"
 	"disttrain/internal/core"
 	"disttrain/internal/nn"
 	"disttrain/internal/rng"
+	"disttrain/internal/simnet"
 	"disttrain/internal/trace"
 	"disttrain/internal/xport"
 )
@@ -414,12 +416,22 @@ func (w *worker) runEASGD() error {
 	return nil
 }
 
+// runARSGD runs comm's ring or tree AllReduce — the simulator's code —
+// over arPort, so both clocks fold every chunk in the same order.
 func (w *worker) runARSGD() error {
 	cfg := w.cfg
+	op, err := comm.OpByName(cfg.Collective)
+	if err != nil {
+		return err
+	}
 	full := make([]int, cfg.Workers)
 	for i := range full {
 		full[i] = i
 	}
+	port := &arPort{w: w}
+	// A fast peer's next-round frames wait here, so the stash outlives
+	// the round.
+	var stash []simnet.Msg
 	for it := w.startIter; it <= cfg.Iters; it++ {
 		if err := w.gate(it); err != nil {
 			return err
@@ -431,19 +443,17 @@ func (w *worker) runARSGD() error {
 		if w.ch != nil {
 			nodes, self = w.ch.aliveNodes(it, w.rank)
 		}
+		if err := w.awaitResumed(port, nodes, self, it, &stash); err != nil {
+			return err
+		}
 		inv := 1 / float32(len(nodes))
 		g := w.gradSpan()
 		w.draws++
 		agg := append([]float32(nil), g...)
-		qc := w.arQuantize(agg)
+		port.quantize(agg)
 		sp := w.span("allreduce", "comm")
-		var err error
-		if cfg.TreeAllReduce {
-			err = treeAllReduce(w.mb, nodes, self, int32(it), agg, qc)
-		} else {
-			err = ringAllReduce(w.mb, nodes, self, int32(it), agg, qc)
-		}
-		if err != nil {
+		if _, _, err := comm.Run(port, comm.CollectiveOpts{Op: op, Nodes: nodes, Self: self,
+			Vec: agg, Kind: int(kindAllReduce), Clock: it, Stash: &stash}); err != nil {
 			return err
 		}
 		sp.End()
@@ -454,6 +464,36 @@ func (w *worker) runARSGD() error {
 		w.note(it)
 		if err := w.maybeCheckpoint(it); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// awaitResumed runs, for each rank that restarts into round it, a
+// broadcast of an empty notice from that rank to the round's others. No
+// rank sends a restarted rank anything before its notice arrives: until
+// the dying incarnation has closed its mesh, a redial can still reach it,
+// and a frame it accepts is lost with it.
+func (w *worker) awaitResumed(port *arPort, nodes []int, self, it int, stash *[]simnet.Msg) error {
+	if w.ch == nil {
+		return nil
+	}
+	for i, r := range nodes {
+		if !w.ch.resumedAt(r, it) {
+			continue
+		}
+		// The restarted rank leads; the others keep their order.
+		order := append(append([]int{r}, nodes[:i]...), nodes[i+1:]...)
+		pos := self
+		switch {
+		case self == i:
+			pos = 0
+		case self < i:
+			pos = self + 1
+		}
+		if _, _, err := comm.Run(port, comm.CollectiveOpts{Op: comm.OpBroadcast, Nodes: order, Self: pos,
+			Kind: int(kindResume), Clock: it, Stash: stash}); err != nil {
+			return fmt.Errorf("resume notice from %d: %w", r, err)
 		}
 	}
 	return nil

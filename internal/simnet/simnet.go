@@ -40,6 +40,12 @@ type Msg struct {
 	SparseIdx []int32
 	// Aux carries algorithm-specific scalar state (e.g. GoSGD weights).
 	Aux float64
+	// Own marks Vec as the sender's own un-reduced contribution: elements
+	// [Off, Off+len(Vec)) of the vector it entered the collective with. A
+	// wire backend may ship such a payload in compressed form (see
+	// comm.Port); everything else is a partial sum or a result.
+	Own bool
+	Off int
 	// Parts carries per-rank contributions for topology-aware collectives.
 	// Like Vec, it is payload, decoupled from Bytes: the wire size models
 	// the collective's real reduced-value traffic while Parts lets every

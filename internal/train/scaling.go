@@ -49,31 +49,24 @@ func measureCollective(name string, c cluster.Config, n int, bytes int64) (float
 	for w := 0; w < n; w++ {
 		ids[w] = net.AddNode(c.MachineOfWorker(w)).ID
 	}
-	op := comm.OpRingAllReduce
+	op, err := comm.OpByName(name)
+	if err != nil {
+		return 0, err
+	}
 	var groups [][]int
 	var rows, cols int
-	switch name {
-	case "ring":
-	case "tree":
-		op = comm.OpTreeAllReduce
-	case "hierarchical":
-		op = comm.OpHierarchicalAllReduce
+	switch op {
+	case comm.OpHierarchicalAllReduce:
 		tp, err := topo.New(c, n)
 		if err != nil {
 			return 0, err
 		}
 		groups = tp.Groups
-	case "butterfly":
-		op = comm.OpButterflyAllReduce
-	case "torus":
-		op = comm.OpTorusAllReduce
-		var err error
+	case comm.OpTorusAllReduce:
 		rows, cols, err = topo.TorusShape(n)
 		if err != nil {
 			return 0, err
 		}
-	default:
-		return 0, fmt.Errorf("scale: unknown collective %q", name)
 	}
 	errs := make([]error, n)
 	for w := 0; w < n; w++ {

@@ -24,7 +24,9 @@ type Endpoint interface {
 	Size() int
 	// Send delivers f to peer rank `to`. It blocks until the frame is
 	// handed to the transport (socket write or channel hand-off) and
-	// returns an error if the peer is unreachable after bounded retry.
+	// returns an error if the peer is unreachable after bounded retry. The
+	// frame is encoded before Send returns, so f and its slices are not
+	// retained.
 	Send(to int, f *Frame) error
 	// Recv returns the next inbound frame. timeout <= 0 means block
 	// forever; on expiry it returns ErrTimeout.
