@@ -27,25 +27,9 @@ const AdaComm Algo = "adacomm"
 // runAdaComm is EASGD's elastic protocol with a per-worker adaptive period.
 func runAdaComm(x *exp) {
 	cfg := x.cfg
-	alpha := float32(cfg.MovingRate)
 
 	// Shards are identical to EASGD's: stateless elastic responders.
-	for s := range x.assign {
-		s := s
-		x.eng.Spawn(fmt.Sprintf("adacomm-ps%d", s), func(p *des.Proc) {
-			inbox := x.psInbox(s)
-			for {
-				m := inbox.Recv(p)
-				if m.Kind != kindEASGDPush {
-					panic(fmt.Sprintf("adacomm shard: unexpected kind %d", m.Kind))
-				}
-				psAggSleep(p, m.Bytes)
-				x.global.ElasticUpdate(x.assign[s], m.Vec, alpha)
-				x.net.Send(simnet.Msg{From: x.psNode[s], To: m.From,
-					Kind: kindEASGDReply, Seg: s, Bytes: x.shardBytes(s), Vec: m.Vec})
-			}
-		})
-	}
+	x.spawnShards()
 
 	for w := 0; w < cfg.Workers; w++ {
 		w := w
@@ -94,14 +78,14 @@ func runAdaComm(x *exp) {
 							payload = append([]float32(nil), params...)
 						}
 						x.net.Send(simnet.Msg{From: x.workerNode[w], To: x.psNode[s],
-							Kind: kindEASGDPush, Clock: it, Seg: s,
+							Kind: KindEASGDPush, Clock: it, Seg: s,
 							Bytes: x.shardBytes(s), Vec: payload})
 					}
 					t0 := p.Now()
 					var wire des.Time
 					for recv := 0; recv < len(x.assign); recv++ {
 						m := inbox.Recv(p)
-						if m.Kind != kindEASGDReply {
+						if m.Kind != KindEASGDReply {
 							panic(fmt.Sprintf("adacomm worker: unexpected kind %d", m.Kind))
 						}
 						wire += m.WireSec

@@ -107,7 +107,7 @@ func runARSGD(x *exp) {
 					_, wire := collective(p, comm.CollectiveOpts{
 						Op: op, Net: x.net, Nodes: nodes, Self: self,
 						Vec: vec, VirtualLen: vlen, Bytes: x.bytesFor(vlen),
-						Kind: kindAllReduce, Clock: it, Stash: stashP,
+						Kind: KindAllReduce, Clock: it, Stash: stashP,
 						Groups: groups, TorusRows: torusRows, TorusCols: torusCols})
 					return wire
 				}

@@ -22,38 +22,7 @@ import (
 func runASP(x *exp) {
 	cfg := x.cfg
 
-	// Shard server loops: run forever; Engine.Kill reaps them at the end.
-	for s := range x.assign {
-		s := s
-		x.eng.Spawn(fmt.Sprintf("asp-ps%d", s), func(p *des.Proc) {
-			inbox := x.psInbox(s)
-			// Staleness damping (extension): track how many global updates
-			// each worker's current parameters have missed and shrink its
-			// gradient's step accordingly.
-			updates := 0
-			pulledAt := make([]int, cfg.Workers)
-			for {
-				m := inbox.Recv(p)
-				psAggSleep(p, m.Bytes)
-				lr := cfg.LR.At(m.Clock - 1)
-				if cfg.StalenessDamping {
-					staleness := updates - pulledAt[m.From]
-					lr /= float32(1 + staleness)
-				}
-				updates++
-				pulledAt[m.From] = updates
-				switch m.Kind {
-				case kindSparseGrad:
-					x.global.ApplySparse(m.SparseIdx, m.Vec, 1, lr)
-				case kindGrad:
-					x.global.ApplyGrad(x.assign[s], m.Vec, 1, lr)
-				default:
-					panic(fmt.Sprintf("asp shard: unexpected kind %d", m.Kind))
-				}
-				x.net.Send(x.snapshotMsg(s, m.From))
-			}
-		})
-	}
+	x.spawnShards()
 
 	for w := 0; w < cfg.Workers; w++ {
 		w := w
@@ -89,7 +58,7 @@ func runASP(x *exp) {
 					} else {
 						m = inbox.Recv(p)
 					}
-					if m.Kind != kindParams {
+					if m.Kind != KindParams {
 						panic(fmt.Sprintf("asp worker: unexpected kind %d", m.Kind))
 					}
 					wire += m.WireSec

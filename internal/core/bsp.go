@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"disttrain/internal/comm"
 	"disttrain/internal/des"
@@ -50,7 +49,7 @@ func runBSP(x *exp) {
 	for s := range x.assign {
 		s := s
 		x.eng.Spawn(fmt.Sprintf("bsp-ps%d", s), func(p *des.Proc) {
-			inbox := x.psInbox(s)
+			sh, port := x.shard(s, p)
 			for it := 0; it < cfg.Iters; it++ {
 				expect := senders
 				scale := 1 / float32(W)
@@ -61,55 +60,8 @@ func runBSP(x *exp) {
 					}
 					scale = 1 / float32(expect)
 				}
-				var agg []float32
-				if x.global.MathOn() {
-					agg = make([]float32, x.vecLen)
-				}
-				recipients := make([]int, 0, expect)
-				msgs := make([]simnet.Msg, 0, expect)
-				lr := cfg.LR.At(it)
-				for i := 0; i < expect; i++ {
-					var m simnet.Msg
-					if elastic {
-						var ok bool
-						if m, ok = inbox.RecvTimeout(p, cfg.BarrierTimeoutSec); !ok {
-							x.col.Faults.Timeouts++
-							break // proceed with whoever arrived
-						}
-					} else {
-						m = inbox.Recv(p)
-					}
-					psAggSleep(p, m.Bytes)
-					msgs = append(msgs, m)
-					recipients = append(recipients, m.From)
-				}
-				// Reduction-order contract, shared with the live runtime:
-				// gradients are summed in ascending sender rank, not arrival
-				// order. Float addition is order-sensitive, so pinning the
-				// order is what lets a wall-clock TCP run reproduce the
-				// simulator's parameters bit for bit. Replies below still go
-				// out in arrival order, so virtual timing is unchanged.
-				sort.Slice(msgs, func(i, j int) bool { return msgs[i].From < msgs[j].From })
-				for _, m := range msgs {
-					switch m.Kind {
-					case kindSparseGrad:
-						// DGC: plain sparse step per message; linearity
-						// makes scale-per-message equal to one
-						// aggregated step.
-						x.global.ApplySparse(m.SparseIdx, m.Vec, scale, lr)
-					case kindGrad:
-						if agg != nil && m.Vec != nil {
-							addRanges(agg, m.Vec, x.assign[s])
-						}
-					default:
-						panic(fmt.Sprintf("bsp shard: unexpected kind %d", m.Kind))
-					}
-				}
-				if cfg.DGC == nil {
-					x.global.ApplyGrad(x.assign[s], agg, scale, lr)
-				}
-				for _, node := range recipients {
-					x.net.Send(x.snapshotMsg(s, node))
+				if err := sh.BSPRound(port, it+1, expect, scale); err != nil {
+					panic(err)
 				}
 			}
 		})
@@ -150,7 +102,7 @@ func runBSP(x *exp) {
 						t0 := p.Now()
 						_, wire := collective(p, comm.CollectiveOpts{
 							Op: comm.OpGather, Net: x.net, Nodes: group, Self: selfInGroup,
-							Vec: aggVec, Bytes: x.fullBytes(), Kind: kindLocalGather})
+							Vec: aggVec, Bytes: x.fullBytes(), Kind: KindLocalGather})
 						bd.Add(metrics.Network, wire)
 						bd.Add(metrics.LocalAgg, p.Now()-t0-wire)
 						x.gatherDoneAt[machine] = p.Now()
@@ -160,7 +112,7 @@ func runBSP(x *exp) {
 						// for the post-global broadcast below.
 						collective(p, comm.CollectiveOpts{
 							Op: comm.OpGather, Net: x.net, Nodes: group, Self: selfInGroup,
-							Vec: grads, Bytes: x.fullBytes(), Kind: kindLocalGather})
+							Vec: grads, Bytes: x.fullBytes(), Kind: KindLocalGather})
 					}
 				}
 
@@ -185,8 +137,14 @@ func runBSP(x *exp) {
 						} else {
 							m = inbox.Recv(p)
 						}
-						if m.Kind != kindParams {
+						if m.Kind != KindParams {
 							panic(fmt.Sprintf("bsp worker: unexpected kind %d", m.Kind))
+						}
+						if m.Clock < it {
+							// The reply to a round this worker already gave
+							// up on: it is not this round's.
+							recv--
+							continue
 						}
 						wire += m.WireSec
 						if m.Vec != nil {
@@ -208,13 +166,13 @@ func runBSP(x *exp) {
 						}
 						collective(p, comm.CollectiveOpts{
 							Op: comm.OpBroadcast, Net: x.net, Nodes: group, Self: selfInGroup,
-							Vec: payload, Bytes: x.fullBytes(), Kind: kindLocalBcast})
+							Vec: payload, Bytes: x.fullBytes(), Kind: KindLocalBcast})
 					}
 				} else {
 					// Member: block for the leader's broadcast.
 					t0 := p.Now()
 					m := inbox.Recv(p)
-					if m.Kind != kindLocalBcast {
+					if m.Kind != KindLocalBcast {
 						panic(fmt.Sprintf("bsp member: unexpected kind %d", m.Kind))
 					}
 					bd.Add(metrics.Network, m.WireSec)

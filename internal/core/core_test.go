@@ -192,7 +192,7 @@ func TestCommComplexityTable1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	psBytes := resLocal.Net.BytesByKind[kindGrad] + resLocal.Net.BytesByKind[kindParams]
+	psBytes := resLocal.Net.BytesByKind[KindGrad] + resLocal.Net.BytesByKind[KindParams]
 	gotPS := float64(psBytes) / float64(iters)
 	if !within(gotPS, 2*M*N/4, 0.05) {
 		t.Fatalf("BSP+localAgg PS bytes/iter = %.3e, want ~%.3e", gotPS, 2*M*N/4)

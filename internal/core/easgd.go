@@ -17,26 +17,7 @@ import (
 // global ones).
 func runEASGD(x *exp) {
 	cfg := x.cfg
-	alpha := float32(cfg.MovingRate)
-
-	for s := range x.assign {
-		s := s
-		x.eng.Spawn(fmt.Sprintf("easgd-ps%d", s), func(p *des.Proc) {
-			inbox := x.psInbox(s)
-			for {
-				m := inbox.Recv(p)
-				if m.Kind != kindEASGDPush {
-					panic(fmt.Sprintf("easgd shard: unexpected kind %d", m.Kind))
-				}
-				psAggSleep(p, m.Bytes)
-				// ElasticUpdate mutates m.Vec in place over this shard's
-				// ranges; the reply carries the updated local parameters.
-				x.global.ElasticUpdate(x.assign[s], m.Vec, alpha)
-				x.net.Send(simnet.Msg{From: x.psNode[s], To: m.From,
-					Kind: kindEASGDReply, Seg: s, Bytes: x.shardBytes(s), Vec: m.Vec})
-			}
-		})
-	}
+	x.spawnShards()
 
 	for w := 0; w < cfg.Workers; w++ {
 		w := w
@@ -62,7 +43,7 @@ func runEASGD(x *exp) {
 							payload = append([]float32(nil), params...)
 						}
 						x.net.Send(simnet.Msg{From: x.workerNode[w], To: x.psNode[s],
-							Kind: kindEASGDPush, Clock: it, Seg: s,
+							Kind: KindEASGDPush, Clock: it, Seg: s,
 							Bytes: x.shardBytes(s), Vec: payload})
 					}
 					t0 := p.Now()
@@ -80,7 +61,7 @@ func runEASGD(x *exp) {
 						} else {
 							m = inbox.Recv(p)
 						}
-						if m.Kind != kindEASGDReply {
+						if m.Kind != KindEASGDReply {
 							panic(fmt.Sprintf("easgd worker: unexpected kind %d", m.Kind))
 						}
 						wire += m.WireSec

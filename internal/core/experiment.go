@@ -23,23 +23,6 @@ import (
 
 type rangeT = ps.Range
 
-// Message kinds on the simulated network.
-const (
-	kindGrad = iota + 1
-	kindSparseGrad
-	kindParams
-	kindPull
-	kindAck
-	kindEASGDPush
-	kindEASGDReply
-	kindAllReduce
-	kindGossip
-	kindExchangeReq
-	kindExchangeReply
-	kindLocalGather
-	kindLocalBcast
-)
-
 // exp is the shared state of one running experiment.
 type exp struct {
 	cfg *Config
@@ -419,7 +402,7 @@ func (x *exp) sendGrads(p *des.Proc, w int, clock int, grads []float32, useDGC b
 	// DGC: compress once over the full vector; per-shard messages carry the
 	// slice of sparse entries that falls in the shard's ranges.
 	var sparse grad.Sparse
-	kind := kindGrad
+	kind := KindGrad
 	ratio := 1.0
 	if cfg.DGC != nil && useDGC {
 		if x.dgc != nil {
@@ -429,7 +412,7 @@ func (x *exp) sendGrads(p *des.Proc, w int, clock int, grads []float32, useDGC b
 			ratio = costOnlyDGCRatio(cfg.DGC, x.dgcIter[w])
 		}
 		x.dgcIter[w]++
-		kind = kindSparseGrad
+		kind = KindSparseGrad
 	}
 
 	// Gradient quantization (extension): apply the codec's round-trip loss
@@ -443,7 +426,7 @@ func (x *exp) sendGrads(p *des.Proc, w int, clock int, grads []float32, useDGC b
 		roundTrip = grad.QuantizeF16RoundTrip
 	}
 	if quant {
-		if kind == kindSparseGrad {
+		if kind == KindSparseGrad {
 			if x.dgc != nil && len(sparse.Val) > 0 {
 				qv := append([]float32(nil), sparse.Val...)
 				roundTrip(qv)
@@ -461,7 +444,7 @@ func (x *exp) sendGrads(p *des.Proc, w int, clock int, grads []float32, useDGC b
 	// dominated setup at 256+ shards.
 	var spIdx [][]int32
 	var spVal [][]float32
-	if kind == kindSparseGrad && x.dgc != nil {
+	if kind == KindSparseGrad && x.dgc != nil {
 		spIdx = make([][]int32, len(x.assign))
 		spVal = make([][]float32, len(x.assign))
 		for j, i := range sparse.Idx {
@@ -477,7 +460,7 @@ func (x *exp) sendGrads(p *des.Proc, w int, clock int, grads []float32, useDGC b
 	// would cost O(shards·vecLen) for nothing. The copy isolates receivers
 	// from the caller's reuse of grads.
 	var dense []float32
-	if kind == kindGrad && grads != nil {
+	if kind == KindGrad && grads != nil {
 		dense = append([]float32(nil), grads...)
 	}
 
@@ -496,7 +479,7 @@ func (x *exp) sendGrads(p *des.Proc, w int, clock int, grads []float32, useDGC b
 			}
 		}
 		msg := simnet.Msg{From: x.workerNode[w], To: x.psNode[s], Kind: kind, Clock: clock, Seg: s}
-		if kind == kindSparseGrad {
+		if kind == KindSparseGrad {
 			entry := 8.0 // 4 B index + 4 B float32 value, vs 4 B/element dense
 			if quant {
 				if cfg.Quantize8 {
@@ -576,14 +559,14 @@ func psAggSleep(p *des.Proc, bytes int64) {
 	p.Sleep(float64(bytes) / costmodel.AggRateBytesPerSec)
 }
 
-// snapshotMsg builds a shard→worker parameter reply for shard s. When DGC
-// is active the reply wire size models a sparse refresh: the PS only ships
-// the parameters touched since the worker's last sync — roughly the union
-// of all workers' top-k updates over the pull period — because shipping the
-// full dense model back would cancel most of what gradient compression
-// saves. (The payload still carries the full vector in real mode; payload
-// contents and wire size are decoupled throughout the simulator.)
-func (x *exp) snapshotMsg(s, toNode int) simnet.Msg {
+// replyBytes is the wire size of shard s's parameter reply. When DGC is
+// active it models a sparse refresh: the PS only ships the parameters
+// touched since the worker's last sync — roughly the union of all workers'
+// top-k updates over the pull period — because shipping the full dense
+// model back would cancel most of what gradient compression saves. (The
+// payload still carries the full vector in real mode; payload contents and
+// wire size are decoupled throughout the simulator.)
+func (x *exp) replyBytes(s int) int64 {
 	bytes := x.shardBytes(s)
 	if x.cfg.DGC != nil {
 		ratio := costOnlyDGCRatio(x.cfg.DGC, x.meanDGCIter())
@@ -599,13 +582,7 @@ func (x *exp) snapshotMsg(s, toNode int) simnet.Msg {
 			}
 		}
 	}
-	m := simnet.Msg{From: x.psNode[s], To: toNode, Kind: kindParams, Seg: s, Bytes: bytes}
-	if x.global.MathOn() {
-		vec := make([]float32, x.vecLen)
-		x.global.Snapshot(x.assign[s], vec)
-		m.Vec = vec
-	}
-	return m
+	return bytes
 }
 
 // meanDGCIter returns the average per-worker compression iteration, used to
@@ -1021,12 +998,12 @@ func (x *exp) replicaSpread() float64 {
 // GradientBytes returns the traffic spent on gradient messages (dense plus
 // DGC-sparse) — the quantity DGC compresses.
 func (r *Result) GradientBytes() int64 {
-	return r.Net.BytesByKind[kindGrad] + r.Net.BytesByKind[kindSparseGrad]
+	return r.Net.BytesByKind[KindGrad] + r.Net.BytesByKind[KindSparseGrad]
 }
 
 // ParamReplyBytes returns the traffic spent on PS→worker parameter replies.
 func (r *Result) ParamReplyBytes() int64 {
-	return r.Net.BytesByKind[kindParams]
+	return r.Net.BytesByKind[KindParams]
 }
 
 // expectedStuck reports whether leftover blocked server procs are normal

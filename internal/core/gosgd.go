@@ -38,7 +38,7 @@ func runGoSGD(x *exp) {
 					if !ok {
 						return
 					}
-					if m.Kind != kindGossip {
+					if m.Kind != KindGossip {
 						panic(fmt.Sprintf("gosgd worker: unexpected kind %d", m.Kind))
 					}
 					weights[w] = x.reps[w].weightedMerge(weights[w], m.Vec, m.Aux)
@@ -113,7 +113,7 @@ func runGoSGD(x *exp) {
 						// Asymmetric: fire and forget; the sender
 						// immediately proceeds to its next iteration.
 						x.net.Send(simnet.Msg{From: x.workerNode[w], To: x.workerNode[t],
-							Kind: kindGossip, Clock: it, Aux: half,
+							Kind: KindGossip, Clock: it, Aux: half,
 							Bytes: x.fullBytes(), Vec: payload})
 					}
 				}

@@ -23,104 +23,9 @@ func runSSP(x *exp) {
 	cfg := x.cfg
 	s := cfg.Staleness
 
-	type pending struct {
-		worker int // node to reply to
-		clock  int
-	}
-
 	elastic := x.inj != nil && cfg.Elastic
 
-	for sh := range x.assign {
-		sh := sh
-		x.eng.Spawn(fmt.Sprintf("ssp-ps%d", sh), func(p *des.Proc) {
-			inbox := x.psInbox(sh)
-			clocks := make([]int, cfg.Workers)
-			var parked []pending
-			minClock := func() int {
-				// Elastic mode excludes currently dead workers from the
-				// staleness bound so a crash does not park every fast
-				// worker for the rest of the run.
-				m := -1
-				for ww, c := range clocks {
-					if elastic && x.inj.DeadAt(ww, p.Now()) {
-						continue
-					}
-					if m < 0 || c < m {
-						m = c
-					}
-				}
-				if m < 0 {
-					m = clocks[0]
-				}
-				return m
-			}
-			release := func() bool {
-				mc := minClock()
-				hit := false
-				keep := parked[:0]
-				for _, pk := range parked {
-					if mc >= pk.clock-s {
-						x.net.Send(x.snapshotMsg(0, pk.worker))
-						hit = true
-					} else {
-						keep = append(keep, pk)
-					}
-				}
-				parked = keep
-				return hit
-			}
-			// fruitless caps the elastic re-check spin: while pulls are
-			// parked the shard wakes on a timeout to re-evaluate liveness,
-			// but after a few barren wakeups it goes back to blocking so an
-			// otherwise-finished run can drain.
-			fruitless := 0
-			for {
-				var m simnet.Msg
-				if elastic && sh == 0 && len(parked) > 0 && fruitless < 3 {
-					var ok bool
-					if m, ok = inbox.RecvTimeout(p, cfg.BarrierTimeoutSec); !ok {
-						x.col.Faults.Timeouts++
-						fruitless++
-						if release() {
-							fruitless = 0
-						}
-						continue
-					}
-				} else {
-					m = inbox.Recv(p)
-				}
-				fruitless = 0
-				switch m.Kind {
-				case kindGrad, kindSparseGrad:
-					psAggSleep(p, m.Bytes)
-					// Petuum-style SSP: workers send their locally applied
-					// *updates* (deltas); the PS simply accumulates them
-					// into the global parameters.
-					if m.Kind == kindSparseGrad {
-						x.global.ApplySparse(m.SparseIdx, m.Vec, -1, 1)
-					} else {
-						x.global.AddDelta(x.assign[sh], m.Vec)
-					}
-					if sh == 0 {
-						clocks[m.From] = m.Clock
-						// Tiny ack carrying the minimum clock.
-						x.net.Send(simnet.Msg{From: x.psNode[0], To: m.From,
-							Kind: kindAck, Clock: minClock(), Bytes: 16})
-						// Release parked pulls whose bound is now met.
-						release()
-					}
-				case kindPull:
-					if sh == 0 && minClock() < m.Clock-s {
-						parked = append(parked, pending{worker: m.From, clock: m.Clock})
-					} else {
-						x.net.Send(x.snapshotMsg(sh, m.From))
-					}
-				default:
-					panic(fmt.Sprintf("ssp shard: unexpected kind %d", m.Kind))
-				}
-			}
-		})
-	}
+	x.spawnShards()
 
 	for w := 0; w < cfg.Workers; w++ {
 		w := w
@@ -135,12 +40,12 @@ func runSSP(x *exp) {
 					if !ok {
 						return
 					}
-					if m.Kind == kindParams && x.inj != nil {
+					if m.Kind == KindParams && x.inj != nil {
 						// A reply released after this worker's pull timed
 						// out; its refresh was already given up on.
 						continue
 					}
-					if m.Kind != kindAck {
+					if m.Kind != KindAck {
 						panic(fmt.Sprintf("ssp worker drain: unexpected kind %d", m.Kind))
 					}
 					if m.Clock > lastMin {
@@ -184,7 +89,7 @@ func runSSP(x *exp) {
 					// parameters and block until shard 0 releases us.
 					for sh := range x.assign {
 						x.net.Send(simnet.Msg{From: x.workerNode[w], To: x.psNode[sh],
-							Kind: kindPull, Clock: it, Bytes: 16})
+							Kind: KindPull, Clock: it, Bytes: 16})
 					}
 					t0 := p.Now()
 					var wire des.Time
@@ -207,11 +112,11 @@ func runSSP(x *exp) {
 							m = inbox.Recv(p)
 						}
 						switch m.Kind {
-						case kindAck:
+						case KindAck:
 							if m.Clock > lastMin {
 								lastMin = m.Clock
 							}
-						case kindParams:
+						case KindParams:
 							wire += m.WireSec
 							if m.Vec != nil {
 								for _, r := range x.assign[m.Seg] {

@@ -68,6 +68,18 @@ type experiment struct {
 	mu     sync.Mutex
 	status api.ExperimentStatus
 	hub    *metricHub
+	// saveMu orders the experiment's saves: Submit's save of the queued
+	// record can race a worker that already ran the job, and without it a
+	// stale snapshot could overwrite the persisted "done".
+	saveMu sync.Mutex
+}
+
+// save persists a snapshot taken while holding saveMu, so the store always
+// ends with the newest state.
+func (e *experiment) save(store *Store) error {
+	e.saveMu.Lock()
+	defer e.saveMu.Unlock()
+	return store.Save(e.snapshot())
 }
 
 func (e *experiment) snapshot() *api.ExperimentStatus {
@@ -184,7 +196,9 @@ func (s *Service) Start(ctx context.Context) error {
 }
 
 // Submit validates the spec (rejecting bad specs before anything is
-// queued), assigns an ID, persists the queued record, and enqueues it.
+// queued), assigns an ID, persists the queued record, and enqueues it. It
+// returns the queued record, even if a worker has already picked the
+// experiment up.
 func (s *Service) Submit(spec api.ExperimentSpec) (*api.ExperimentStatus, error) {
 	if _, err := spec.Validated(); err != nil {
 		return nil, err
@@ -199,6 +213,7 @@ func (s *Service) Submit(spec api.ExperimentSpec) (*api.ExperimentStatus, error)
 		State:       api.StateQueued,
 		SubmittedAt: s.now().UTC(),
 	}
+	queued := e.status
 	select {
 	case s.queue <- e:
 	default:
@@ -209,10 +224,10 @@ func (s *Service) Submit(spec api.ExperimentSpec) (*api.ExperimentStatus, error)
 	s.exps[id] = e
 	s.order = append(s.order, id)
 	s.mu.Unlock()
-	if err := s.store.Save(e.snapshot()); err != nil {
+	if err := e.save(s.store); err != nil {
 		return nil, err
 	}
-	return e.snapshot(), nil
+	return &queued, nil
 }
 
 // Get returns a snapshot of one experiment's status, or nil if unknown.
@@ -336,7 +351,7 @@ func (s *Service) runOne(ctx context.Context, e *experiment) {
 // persist best-effort saves a snapshot; a storage failure downgrades the
 // service to in-memory for that record rather than killing the run.
 func (s *Service) persist(e *experiment) {
-	if err := s.store.Save(e.snapshot()); err != nil {
+	if err := e.save(s.store); err != nil {
 		e.mu.Lock()
 		if e.status.Error == "" {
 			e.status.Error = fmt.Sprintf("persist: %v", err)

@@ -77,8 +77,6 @@ func Validate(cfg *core.Config) error {
 		return fmt.Errorf("live: DGC is not supported on the live path")
 	case cfg.LocalAgg:
 		return fmt.Errorf("live: local aggregation is not supported on the live path")
-	case cfg.StalenessDamping:
-		return fmt.Errorf("live: staleness damping is not supported on the live path")
 	case cfg.ADPSGDNoBipartite:
 		return fmt.Errorf("live: the AD-PSGD no-bipartite ablation is simulator-only")
 	}

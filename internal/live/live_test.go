@@ -260,6 +260,30 @@ func TestLiveAsyncAlgosComplete(t *testing.T) {
 	}
 }
 
+// TestLiveStalenessDampedASPComplete runs ASP with the PS's staleness
+// damping — core's shard code on the live PS rank — over channels and
+// loopback TCP: every worker finishes every iteration and the run learns.
+func TestLiveStalenessDampedASPComplete(t *testing.T) {
+	for name, run := range map[string]func(core.Config, ...Option) (*Result, error){
+		"chan": RunChan, "tcp": RunLoopback,
+	} {
+		cfg := liveConfig(core.ASP, 4, 8, 11)
+		cfg.StalenessDamping = true
+		res, err := run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for w, n := range res.WorkerIters {
+			if n != cfg.Iters {
+				t.Fatalf("%s: worker %d completed %d/%d iterations", name, w, n, cfg.Iters)
+			}
+		}
+		if res.FinalTestAcc <= 1.0/3+0.05 {
+			t.Fatalf("%s: damped ASP live run did not learn: acc %.3f", name, res.FinalTestAcc)
+		}
+	}
+}
+
 // TestLiveBSPSurvivesKilledConnections exercises the fault satellite: a
 // drop schedule becomes connection kills on the live transport, and
 // because kills happen before the write and the frame is retried on a
@@ -352,7 +376,6 @@ func TestValidateRejectsUnsupported(t *testing.T) {
 		{"wait-free BP", func(c *core.Config) { c.WaitFreeBP = true }},
 		{"local agg", func(c *core.Config) { c.LocalAgg = true }},
 		{"elastic async", func(c *core.Config) { c.Algo = core.ASP; c.Elastic = true }},
-		{"staleness damping", func(c *core.Config) { c.Algo = core.ASP; c.StalenessDamping = true }},
 		{"crash without elastic", func(c *core.Config) {
 			c.Faults = &fault.Schedule{Events: []fault.Event{{Kind: fault.Crash, AtIter: 1, Worker: 0}}}
 		}},
@@ -442,14 +465,13 @@ func TestServerRejectsMalformedFrames(t *testing.T) {
 					cn.Endpoint(r).Close()
 				}
 			}()
-			sv := newServer(&cfg, cn.Endpoint(cfg.Workers), nil)
 			errc := make(chan error, 1)
 			go func() {
-				_, err := sv.run()
+				_, err := servePS(&cfg, cn.Endpoint(cfg.Workers), nil)
 				errc <- err
 			}()
 			f := tc.f
-			f.Kind, f.From, f.Clock = kindGrad, 0, 1
+			f.Kind, f.From, f.Clock = core.KindGrad, 0, 1
 			if err := cn.Endpoint(0).Send(cfg.Workers, &f); err != nil {
 				t.Fatal(err)
 			}

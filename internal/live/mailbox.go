@@ -8,25 +8,8 @@ import (
 	"disttrain/internal/xport"
 )
 
-// Data-plane frame kinds. The values mirror internal/core's message kinds
-// one for one so a packet capture of a live run reads against the
-// simulator's message taxonomy.
-const (
-	kindGrad        uint16 = 1
-	kindParams      uint16 = 3
-	kindPull        uint16 = 4
-	kindAck         uint16 = 5
-	kindEASGDPush   uint16 = 6
-	kindEASGDReply  uint16 = 7
-	kindAllReduce   uint16 = 8
-	kindGossip      uint16 = 9
-	kindExchangeReq uint16 = 10
-	kindExchangeRep uint16 = 11
-	// kindResume is a restarted worker's notice to its AR-SGD peers that
-	// its new incarnation is listening (Clock = its first round). It has
-	// no simulator counterpart; 12 and 13 stay unused.
-	kindResume uint16 = 14
-)
+// Data-plane frames carry core's message kinds (core.KindGrad …
+// core.KindResume), the same numbers the simulator's messages use.
 
 // Control-plane frame kinds, used on the rendezvous connection and for the
 // mesh-level termination handshake. They start at 100 to stay disjoint
@@ -53,8 +36,8 @@ const (
 )
 
 // mailbox wraps an Endpoint with a stash so protocol loops can wait for a
-// specific (kind, clock, seg) while out-of-order traffic — a fast peer's
-// next-round chunk, a straggler's late gossip — is parked instead of
+// specific (kind, clock) while out-of-order traffic — a fast peer's
+// next-round frame, a straggler's late reply — is parked instead of
 // dropped. A mailbox has exactly one owning goroutine; it is not safe for
 // concurrent use.
 type mailbox struct {
@@ -75,17 +58,16 @@ func (mb *mailbox) recv(timeout time.Duration) (xport.Frame, error) {
 }
 
 // match reports whether f is the frame recvMatch is waiting for.
-func match(f xport.Frame, kind uint16, clock int32, seg int32, useSeg bool) bool {
-	return f.Kind == kind && f.Clock == clock && (!useSeg || f.Seg == seg)
+func match(f xport.Frame, kind uint16, clock int32) bool {
+	return f.Kind == kind && f.Clock == clock
 }
 
 // recvMatch returns the first frame (stash first, then the wire) with the
-// given kind and clock — and seg, when useSeg is set, which the collectives
-// use to separate chunks and phases. Non-matching frames are stashed in
-// arrival order. The timeout covers the whole wait.
-func (mb *mailbox) recvMatch(kind uint16, clock, seg int32, useSeg bool, timeout time.Duration) (xport.Frame, error) {
+// given kind and clock. Non-matching frames are stashed in arrival order.
+// The timeout covers the whole wait.
+func (mb *mailbox) recvMatch(kind uint16, clock int32, timeout time.Duration) (xport.Frame, error) {
 	for i, f := range mb.stash {
-		if match(f, kind, clock, seg, useSeg) {
+		if match(f, kind, clock) {
 			mb.stash = append(mb.stash[:i], mb.stash[i+1:]...)
 			return f, nil
 		}
@@ -94,18 +76,18 @@ func (mb *mailbox) recvMatch(kind uint16, clock, seg int32, useSeg bool, timeout
 	for {
 		remain := time.Until(deadline)
 		if remain <= 0 {
-			return xport.Frame{}, fmt.Errorf("live: timeout waiting for kind=%d clock=%d seg=%d (useSeg=%v): %w",
-				kind, clock, seg, useSeg, xport.ErrTimeout)
+			return xport.Frame{}, fmt.Errorf("live: timeout waiting for kind=%d clock=%d: %w",
+				kind, clock, xport.ErrTimeout)
 		}
 		f, err := mb.ep.Recv(remain)
 		if err != nil {
 			if errors.Is(err, xport.ErrTimeout) {
-				return xport.Frame{}, fmt.Errorf("live: timeout waiting for kind=%d clock=%d seg=%d (useSeg=%v): %w",
-					kind, clock, seg, useSeg, err)
+				return xport.Frame{}, fmt.Errorf("live: timeout waiting for kind=%d clock=%d: %w",
+					kind, clock, err)
 			}
 			return xport.Frame{}, err
 		}
-		if match(f, kind, clock, seg, useSeg) {
+		if match(f, kind, clock) {
 			return f, nil
 		}
 		mb.stash = append(mb.stash, f)

@@ -5,7 +5,6 @@ import (
 
 	"disttrain/internal/core"
 	"disttrain/internal/grad"
-	"disttrain/internal/simnet"
 	"disttrain/internal/xport"
 )
 
@@ -117,63 +116,4 @@ func (w *worker) encodeGrad(g []float32, f *xport.Frame) {
 	f.Data = qv.AppendEncode(nil)
 	w.saved.Add(int64(4*len(g)) - int64(len(f.Data)))
 	sp.End()
-}
-
-// arPort is the live backend of comm's collectives: each comm message
-// travels as one frame on the worker's mailbox, with the same Kind, Clock
-// and Seg tags. A message comm marks Own is the sender's round-tripped
-// contribution; in a quantized run it ships as a slice of this round's
-// codec payload, which reconstructs to exactly the values it carries.
-type arPort struct {
-	w  *worker
-	qv xport.QuantVec // this round's encoded contribution (codec runs)
-}
-
-// quantize round-trips agg, the worker's contribution to this round, in
-// place — the simulator quantizes each worker's own contribution before it
-// enters the collective — and keeps the payload for Own sends.
-func (pt *arPort) quantize(agg []float32) {
-	w := pt.w
-	if w.codec == 0 {
-		return
-	}
-	sp := w.span("quantize", "quant")
-	pt.qv = quantizeVec(w.codec, agg)
-	sp.End()
-}
-
-// Send frames m. The transport encodes the frame before Send returns, so
-// m.Vec is not retained.
-func (pt *arPort) Send(m simnet.Msg) error {
-	w := pt.w
-	f := &xport.Frame{Kind: uint16(m.Kind), From: int32(m.From), Clock: int32(m.Clock),
-		Seg: int32(m.Seg), Aux: m.Aux, Vec: m.Vec}
-	if m.Own && w.codec != 0 {
-		// An int8 slice keeps the full-vector scale, so the chunk decodes
-		// to exactly the round-tripped values in m.Vec.
-		qv := sliceQuantVec(pt.qv, m.Off, m.Off+len(m.Vec))
-		f.Vec = nil
-		f.Data = qv.AppendEncode(nil)
-		w.saved.Add(int64(4*len(m.Vec)) - int64(len(f.Data)))
-	}
-	return w.ep.Send(m.To, f)
-}
-
-// Recv takes the next frame from the mailbox, decoding a codec payload.
-func (pt *arPort) Recv() (simnet.Msg, error) {
-	w := pt.w
-	f, err := w.mb.recv(recvTimeout)
-	if err != nil {
-		return simnet.Msg{}, fmt.Errorf("live: allreduce recv: %w", err)
-	}
-	if len(f.Data) > 0 {
-		sp := w.span("dequantize", "quant")
-		err := decodeGradPayload(w.codec, &f)
-		sp.End()
-		if err != nil {
-			return simnet.Msg{}, err
-		}
-	}
-	return simnet.Msg{From: int(f.From), To: w.rank, Kind: int(f.Kind), Clock: int(f.Clock),
-		Seg: int(f.Seg), Aux: f.Aux, Vec: f.Vec}, nil
 }

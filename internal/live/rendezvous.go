@@ -217,8 +217,7 @@ func coordinate(cfg *core.Config, ln net.Listener, o *Options) (*Result, error) 
 	srvDone := make(chan error, 1)
 	if srvNet != nil {
 		go func() {
-			sv := newServer(cfg, srvNet, o)
-			params, err := sv.run()
+			params, err := servePS(cfg, srvNet, o)
 			finalGlobal = params
 			srvDone <- err
 		}()

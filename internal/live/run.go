@@ -478,8 +478,7 @@ func RunChan(cfg core.Config, opts ...Option) (*Result, error) {
 	srvDone := make(chan error, 1)
 	if cfg.Algo.Centralized() {
 		go func() {
-			sv := newServer(&cfg, cn.Endpoint(cfg.Workers), o)
-			params, err := sv.run()
+			params, err := servePS(&cfg, cn.Endpoint(cfg.Workers), o)
 			finalGlobal = params
 			srvDone <- err
 		}()

@@ -2,331 +2,189 @@ package live
 
 import (
 	"fmt"
-	"sort"
+	"io"
+	"sync/atomic"
 
 	"disttrain/internal/core"
 	"disttrain/internal/nn"
 	"disttrain/internal/ps"
 	"disttrain/internal/rng"
+	"disttrain/internal/simnet"
 	"disttrain/internal/trace"
 	"disttrain/internal/xport"
 )
 
-// server hosts the parameter server for the centralized algorithms on mesh
-// rank W. It owns a ps.Global initialized from the shared init stream —
-// the same ps.Global, fed through the same float paths, that the simulator
-// uses, which is half of the bit-identity contract (the other half is the
-// workers' pinned reduction order).
-type server struct {
-	cfg    *core.Config
-	W      int
-	ep     xport.Endpoint
-	mb     *mailbox
-	global *ps.Global
-	assign ps.Assignment
-	vecLen int
-
-	// model is kept around as the serialization vehicle for PS checkpoints;
-	// ch and ckpt mirror the workers' chaos membership and cadence.
-	model *nn.Model
-	ch    *chaos
-	ckpt  nn.Cadence
-
-	// codec is the gradient wire codec workers compress with (0 = dense);
-	// tr records dequantize spans on the coordinator track.
+// port is the live backend of core's fabric: comm's collectives run over
+// it on a worker rank (AR-SGD), core's parameter-server shard on the PS
+// rank. Each simnet.Msg travels as one frame on the rank's mailbox, with
+// the same Kind, Clock and Seg tags.
+//
+// A message comm marks Own is the sender's round-tripped contribution; in
+// a quantized run it ships as a slice of the round's codec payload, which
+// reconstructs to exactly the values it carries. Received codec payloads
+// are decoded here, and a gradient frame of a quantized run must carry
+// one. Wall-clock membership is exact, so an expired wait is an error,
+// never a reason to proceed without a member.
+type wirePort struct {
+	ep    xport.Endpoint
+	mb    *mailbox
+	self  int
 	codec xport.QuantCodec
+	qv    xport.QuantVec // this round's encoded contribution (AR-SGD)
+	saved *atomic.Int64  // wire bytes the codec saved on Own sends
 	tr    *trace.Tracer
+	pid   int // trace track of the codec spans
+	tid   int
+	// byes counts the BYE frames still due before Recv reports io.EOF:
+	// every finishing worker's on the PS rank, none on a worker.
+	byes int
 }
 
-func newServer(cfg *core.Config, ep xport.Endpoint, o *Options) *server {
-	// The simulator seeds the global from replica 0's parameters; every
-	// replica starts from the shared init stream (seed → Split(1)), so
-	// building a model from a fresh stream yields the identical vector.
-	model := cfg.Real.Factory(rng.New(cfg.Seed).Split(1))
-	init := model.FlatParams(nil)
-	sv := &server{
-		cfg:    cfg,
-		W:      cfg.Workers,
-		ep:     ep,
-		mb:     newMailbox(ep),
-		global: ps.NewGlobal(init, cfg.Momentum, cfg.WeightDecay),
-		assign: ps.Single(len(init)),
-		vecLen: len(init),
-		model:  model,
-		ch:     newChaos(cfg),
-		codec:  quantCodec(cfg),
-	}
-	if o != nil {
-		sv.ckpt = o.ckpt
-		sv.tr = o.tracer
-	}
-	return sv
+// port returns the worker's connection for comm's collectives.
+func (w *worker) port() *wirePort {
+	return &wirePort{ep: w.ep, mb: w.mb, self: w.rank, codec: w.codec, saved: &w.saved,
+		tr: w.tr, pid: workerPid, tid: w.rank}
 }
 
-// checkVec leaves a worker frame's dense vector in f.Vec, reconstructing a
-// quantized payload. A frame from the wire whose vector is not vecLen long,
-// or a codec payload in a dense run, is an error: summed or applied, it
-// would panic or silently skew the model.
-func (sv *server) checkVec(f *xport.Frame) error {
-	if sv.codec != 0 || len(f.Data) > 0 {
-		sp := sv.tr.StartSpan("dequantize", "quant", coordPid, 0)
-		err := decodeGradPayload(sv.codec, f)
-		sp.End()
+// quantize round-trips agg, the worker's contribution to this round, in
+// place — the simulator quantizes each worker's own contribution before it
+// enters the collective — and keeps the payload for Own sends.
+func (pt *wirePort) quantize(agg []float32) {
+	if pt.codec == 0 {
+		return
+	}
+	sp := pt.tr.StartSpan("quantize", "quant", pt.pid, pt.tid)
+	pt.qv = quantizeVec(pt.codec, agg)
+	sp.End()
+}
+
+// Send frames m. The transport encodes the frame before Send returns, so
+// m.Vec is not retained.
+func (pt *wirePort) Send(m simnet.Msg) error {
+	f := &xport.Frame{Kind: uint16(m.Kind), From: int32(m.From), Clock: int32(m.Clock),
+		Seg: int32(m.Seg), Aux: m.Aux, Vec: m.Vec}
+	if m.Own && pt.codec != 0 {
+		// An int8 slice keeps the full-vector scale, so the chunk decodes
+		// to exactly the round-tripped values in m.Vec.
+		qv := sliceQuantVec(pt.qv, m.Off, m.Off+len(m.Vec))
+		f.Vec = nil
+		f.Data = qv.AppendEncode(nil)
+		pt.saved.Add(int64(4*len(m.Vec)) - int64(len(f.Data)))
+	}
+	return pt.ep.Send(m.To, f)
+}
+
+// Recv takes the next frame from the mailbox, decoding a codec payload. It
+// absorbs BYE frames and returns io.EOF on the last one due.
+func (pt *wirePort) Recv() (simnet.Msg, error) {
+	for {
+		f, err := pt.mb.recv(recvTimeout)
 		if err != nil {
-			return err
+			return simnet.Msg{}, fmt.Errorf("live: rank %d recv: %w", pt.self, err)
 		}
+		if f.Kind == kindBye {
+			if pt.byes == 0 {
+				return simnet.Msg{}, fmt.Errorf("live: rank %d: unexpected bye from %d", pt.self, f.From)
+			}
+			if pt.byes--; pt.byes == 0 {
+				return simnet.Msg{}, io.EOF
+			}
+			continue
+		}
+		if len(f.Data) > 0 || (pt.codec != 0 && f.Kind == core.KindGrad) {
+			sp := pt.tr.StartSpan("dequantize", "quant", pt.pid, pt.tid)
+			err := decodeGradPayload(pt.codec, &f)
+			sp.End()
+			if err != nil {
+				return simnet.Msg{}, err
+			}
+		}
+		return simnet.Msg{From: int(f.From), To: pt.self, Kind: int(f.Kind), Clock: int(f.Clock),
+			Seg: int(f.Seg), Aux: f.Aux, Vec: f.Vec}, nil
 	}
-	if len(f.Vec) != sv.vecLen {
-		return fmt.Errorf("live: frame from %d: %d elements, want %d", f.From, len(f.Vec), sv.vecLen)
-	}
-	return nil
 }
 
-// maybeCheckpoint writes the global parameters as a PS checkpoint if step
-// is a cadence boundary.
-func (sv *server) maybeCheckpoint(step int) error {
-	if !sv.ckpt.Due(step) {
-		return nil
+// RecvTimeout is Recv: on the wall clock every wait is bounded by
+// recvTimeout, and an expired wait is an error.
+func (pt *wirePort) RecvTimeout(float64) (simnet.Msg, bool, error) {
+	m, err := pt.Recv()
+	return m, err == nil, err
+}
+
+// Charge is free on the wall clock: the aggregation itself takes the time.
+func (pt *wirePort) Charge(int64) {}
+
+// servePS runs the parameter server on mesh rank cfg.Workers: core's shard
+// code, the simulator's, over a live port, as one shard owning the whole
+// vector. The global starts from the shared init stream (seed → Split(1)),
+// which is where the simulator's replica 0 — the source of its global —
+// starts too. servePS returns the final global parameters once every
+// finishing worker has said goodbye.
+func servePS(cfg *core.Config, ep xport.Endpoint, o *Options) ([]float32, error) {
+	model := cfg.Real.Factory(rng.New(cfg.Seed).Split(1))
+	sh := core.NewShard(cfg, cfg.Workers, ps.NewGlobal(model.FlatParams(nil), cfg.Momentum, cfg.WeightDecay))
+	pt := &wirePort{ep: ep, mb: newMailbox(ep), self: cfg.Workers, codec: quantCodec(cfg),
+		saved: new(atomic.Int64), pid: coordPid, byes: cfg.Workers}
+	ch := newChaos(cfg)
+	if ch != nil {
+		// A worker dead at the final iteration never says goodbye.
+		pt.byes = ch.finisherCount()
 	}
-	sv.model.SetFlatParams(sv.snapshot())
-	return nn.SaveState(sv.ckpt.Path(-1), sv.model, &nn.TrainState{Step: uint64(step)})
-}
-
-// snapshot returns a fresh copy of the global parameters.
-func (sv *server) snapshot() []float32 {
-	out := make([]float32, sv.vecLen)
-	sv.global.Snapshot(sv.assign[0], out)
-	return out
-}
-
-// run serves the PS protocol until every worker has sent its mesh-level
-// bye, then returns the final global parameters.
-func (sv *server) run() ([]float32, error) {
+	var ckpt nn.Cadence
+	if o != nil {
+		ckpt, pt.tr = o.ckpt, o.tracer
+	}
 	var err error
-	switch sv.cfg.Algo {
-	case core.BSP:
-		err = sv.runBSP()
-	case core.ASP:
-		err = sv.runASP()
-	case core.SSP:
-		err = sv.runSSP()
-	case core.EASGD:
-		err = sv.runEASGD()
-	default:
-		err = fmt.Errorf("no server loop for %s", sv.cfg.Algo)
+	if cfg.Algo == core.BSP {
+		err = bspRounds(cfg, sh, pt, ch, ckpt, model)
+	} else {
+		err = sh.Serve(pt)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("live: server (%s): %w", sv.cfg.Algo, err)
+		return nil, fmt.Errorf("live: server (%s): %w", cfg.Algo, err)
 	}
-	return sv.snapshot(), nil
+	return sh.Snapshot(), nil
 }
 
-// awaitByes blocks until the remaining workers have said goodbye — all of
-// them, or under a crash schedule only the ones that finish the run (a
-// worker dead at the final iteration never returns). Frames of other kinds
-// at this point are protocol violations.
-func (sv *server) awaitByes(byes int) error {
-	want := sv.W
-	if sv.ch != nil {
-		want = sv.ch.finisherCount()
-	}
-	for byes < want {
-		f, err := sv.mb.recvMatch(kindBye, 0, 0, false, recvTimeout)
-		if err != nil {
-			return err
-		}
-		_ = f
-		byes++
-	}
-	return nil
-}
-
-// runBSP aggregates one synchronous round per iteration. The gradients are
-// summed in ascending sender rank — the reduction-order contract shared
-// with core's runBSP — and the updated parameters go back to all workers.
-func (sv *server) runBSP() error {
-	cfg := sv.cfg
-	for it := 0; it < cfg.Iters; it++ {
-		// The round's barrier width is the alive membership — the
-		// simulator's elastic aliveCount — and connections to workers
-		// resuming this round are refreshed before their first exchange.
-		expect := sv.W
-		if sv.ch != nil {
-			if pd, ok := sv.ep.(peerDropper); ok {
-				for w := 0; w < sv.W; w++ {
-					if sv.ch.resumedAt(w, it+1) {
+// bspRounds is the live PS's BSP round loop. Each round's barrier width is
+// the alive membership — the simulator's elastic aliveCount — and
+// connections to workers resuming a round are refreshed before its first
+// exchange. The global parameters are checkpointed on the cadence.
+func bspRounds(cfg *core.Config, sh *core.Shard, pt *wirePort, ch *chaos, ckpt nn.Cadence, model *nn.Model) error {
+	for it := 1; it <= cfg.Iters; it++ {
+		expect := cfg.Workers
+		if ch != nil {
+			if pd, ok := pt.ep.(peerDropper); ok {
+				for w := 0; w < cfg.Workers; w++ {
+					if ch.resumedAt(w, it) {
 						pd.DropPeer(w)
 					}
 				}
 			}
-			expect = sv.ch.aliveCount(it + 1)
-			if expect == 0 {
+			if expect = ch.aliveCount(it); expect == 0 {
 				continue
 			}
 		}
-		msgs := make([]xport.Frame, 0, expect)
-		for i := 0; i < expect; i++ {
-			f, err := sv.mb.recvMatch(kindGrad, int32(it+1), 0, false, recvTimeout)
-			if err != nil {
-				return err
-			}
-			if err := sv.checkVec(&f); err != nil {
-				return err
-			}
-			msgs = append(msgs, f)
-		}
-		sort.Slice(msgs, func(i, j int) bool { return msgs[i].From < msgs[j].From })
-		agg := make([]float32, sv.vecLen)
-		for _, m := range msgs {
-			for i, v := range m.Vec {
-				agg[i] += v
-			}
-		}
-		sv.global.ApplyGrad(sv.assign[0], agg, 1/float32(expect), cfg.LR.At(it))
-		snap := sv.snapshot()
-		for _, m := range msgs {
-			if err := sv.ep.Send(int(m.From), &xport.Frame{Kind: kindParams, From: int32(sv.W),
-				Clock: m.Clock, Vec: snap}); err != nil {
-				return err
-			}
-		}
-		if err := sv.maybeCheckpoint(it + 1); err != nil {
+		if err := sh.BSPRound(pt, it, expect, 1/float32(expect)); err != nil {
 			return err
 		}
-	}
-	return sv.awaitByes(0)
-}
-
-// runASP applies every arriving gradient immediately and replies with the
-// updated parameters — no worker waits for another.
-func (sv *server) runASP() error {
-	cfg := sv.cfg
-	byes := 0
-	for byes < sv.W {
-		f, err := sv.mb.recv(recvTimeout)
-		if err != nil {
-			return err
-		}
-		switch f.Kind {
-		case kindGrad:
-			if err := sv.checkVec(&f); err != nil {
+		if ckpt.Due(it) {
+			model.SetFlatParams(sh.Snapshot())
+			if err := nn.SaveState(ckpt.Path(-1), model, &nn.TrainState{Step: uint64(it)}); err != nil {
 				return err
 			}
-			sv.global.ApplyGrad(sv.assign[0], f.Vec, 1, cfg.LR.At(int(f.Clock)-1))
-			if err := sv.ep.Send(int(f.From), &xport.Frame{Kind: kindParams, From: int32(sv.W),
-				Clock: f.Clock, Vec: sv.snapshot()}); err != nil {
-				return err
-			}
-		case kindBye:
-			byes++
-		default:
-			return fmt.Errorf("asp: unexpected kind %d", f.Kind)
 		}
 	}
-	return nil
-}
-
-// runSSP accumulates worker deltas and doubles as the clock service:
-// gradient messages update the sender's clock and trigger a tiny ack
-// carrying the minimum clock; pull requests park until the staleness bound
-// is restored. A finished worker's clock stays at Iters, so every parked
-// pull provably drains before the last bye.
-func (sv *server) runSSP() error {
-	cfg := sv.cfg
-	s := cfg.Staleness
-	clocks := make([]int, sv.W)
-	type pending struct{ worker, clock int }
-	var parked []pending
-	minClock := func() int {
-		m := clocks[0]
-		for _, c := range clocks[1:] {
-			if c < m {
-				m = c
-			}
-		}
-		return m
-	}
-	release := func() error {
-		mc := minClock()
-		keep := parked[:0]
-		for _, pk := range parked {
-			if mc >= pk.clock-s {
-				if err := sv.ep.Send(pk.worker, &xport.Frame{Kind: kindParams, From: int32(sv.W),
-					Clock: int32(pk.clock), Vec: sv.snapshot()}); err != nil {
-					return err
-				}
-			} else {
-				keep = append(keep, pk)
-			}
-		}
-		parked = keep
+	// Every finishing worker says goodbye after its last round.
+	if pt.byes == 0 {
 		return nil
 	}
-	byes := 0
-	for byes < sv.W {
-		f, err := sv.mb.recv(recvTimeout)
-		if err != nil {
-			return err
-		}
-		switch f.Kind {
-		case kindGrad:
-			// Petuum-style SSP: the worker sends its locally applied
-			// *update*; the PS accumulates it.
-			if err := sv.checkVec(&f); err != nil {
-				return err
-			}
-			sv.global.AddDelta(sv.assign[0], f.Vec)
-			clocks[f.From] = int(f.Clock)
-			if err := sv.ep.Send(int(f.From), &xport.Frame{Kind: kindAck, From: int32(sv.W),
-				Clock: int32(minClock())}); err != nil {
-				return err
-			}
-			if err := release(); err != nil {
-				return err
-			}
-		case kindPull:
-			if minClock() < int(f.Clock)-s {
-				parked = append(parked, pending{worker: int(f.From), clock: int(f.Clock)})
-			} else if err := sv.ep.Send(int(f.From), &xport.Frame{Kind: kindParams, From: int32(sv.W),
-				Clock: f.Clock, Vec: sv.snapshot()}); err != nil {
-				return err
-			}
-		case kindBye:
-			byes++
-		default:
-			return fmt.Errorf("ssp: unexpected kind %d", f.Kind)
-		}
+	m, err := pt.Recv()
+	if err == nil {
+		err = fmt.Errorf("unexpected kind %d from %d after the last round", m.Kind, m.From)
 	}
-	return nil
-}
-
-// runEASGD performs the symmetric elastic move on every parameter push and
-// returns the updated local parameters to the sender.
-func (sv *server) runEASGD() error {
-	alpha := float32(sv.cfg.MovingRate)
-	byes := 0
-	for byes < sv.W {
-		f, err := sv.mb.recv(recvTimeout)
-		if err != nil {
-			return err
-		}
-		switch f.Kind {
-		case kindEASGDPush:
-			if err := sv.checkVec(&f); err != nil {
-				return err
-			}
-			// ElasticUpdate mutates the pushed vector in place; the reply
-			// carries the updated local parameters.
-			sv.global.ElasticUpdate(sv.assign[0], f.Vec, alpha)
-			if err := sv.ep.Send(int(f.From), &xport.Frame{Kind: kindEASGDReply, From: int32(sv.W),
-				Clock: f.Clock, Vec: f.Vec}); err != nil {
-				return err
-			}
-		case kindBye:
-			byes++
-		default:
-			return fmt.Errorf("easgd: unexpected kind %d", f.Kind)
-		}
+	if err == io.EOF {
+		return nil
 	}
-	return nil
+	return err
 }

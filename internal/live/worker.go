@@ -252,7 +252,7 @@ func (w *worker) tail(stop <-chan struct{}) error {
 				if err != nil || !ok {
 					return err
 				}
-				if f.Kind == kindGossip {
+				if f.Kind == core.KindGossip {
 					w.weight = w.rep.weightedMerge(w.weight, f.Vec, f.Aux)
 				}
 			}
@@ -262,7 +262,7 @@ func (w *worker) tail(stop <-chan struct{}) error {
 		if err != nil {
 			return err
 		}
-		if ok && f.Kind == kindGossip {
+		if ok && f.Kind == core.KindGossip {
 			w.weight = w.rep.weightedMerge(w.weight, f.Vec, f.Aux)
 		}
 	}
@@ -276,13 +276,13 @@ func (w *worker) runBSP() error {
 		}
 		g := w.gradSpan()
 		w.draws++
-		gf := &xport.Frame{Kind: kindGrad, From: int32(w.rank), Clock: int32(it)}
+		gf := &xport.Frame{Kind: core.KindGrad, From: int32(w.rank), Clock: int32(it)}
 		w.encodeGrad(g, gf)
 		sp := w.span("ps-exchange", "comm")
 		if err := w.ep.Send(w.srv, gf); err != nil {
 			return err
 		}
-		f, err := w.mb.recvMatch(kindParams, int32(it), 0, false, recvTimeout)
+		f, err := w.mb.recvMatch(core.KindParams, int32(it), recvTimeout)
 		if err != nil {
 			return err
 		}
@@ -300,13 +300,13 @@ func (w *worker) runASP() error {
 	cfg := w.cfg
 	for it := 1; it <= cfg.Iters; it++ {
 		g := w.gradSpan()
-		gf := &xport.Frame{Kind: kindGrad, From: int32(w.rank), Clock: int32(it)}
+		gf := &xport.Frame{Kind: core.KindGrad, From: int32(w.rank), Clock: int32(it)}
 		w.encodeGrad(g, gf)
 		sp := w.span("ps-exchange", "comm")
 		if err := w.ep.Send(w.srv, gf); err != nil {
 			return err
 		}
-		f, err := w.mb.recvMatch(kindParams, int32(it), 0, false, recvTimeout)
+		f, err := w.mb.recvMatch(core.KindParams, int32(it), recvTimeout)
 		if err != nil {
 			return err
 		}
@@ -334,7 +334,7 @@ func (w *worker) runSSP() error {
 		// The shipped delta goes through the codec (the simulator's
 		// sendGrads quantizes SSP updates too); the local replica keeps
 		// the unquantized step, exactly like the simulator's worker.
-		df := &xport.Frame{Kind: kindGrad, From: int32(w.rank), Clock: int32(it)}
+		df := &xport.Frame{Kind: core.KindGrad, From: int32(w.rank), Clock: int32(it)}
 		w.encodeGrad(delta, df)
 		if err := w.ep.Send(w.srv, df); err != nil {
 			return err
@@ -348,7 +348,7 @@ func (w *worker) runSSP() error {
 			if !ok {
 				break
 			}
-			if f.Kind != kindAck {
+			if f.Kind != core.KindAck {
 				return fmt.Errorf("ssp drain: unexpected kind %d", f.Kind)
 			}
 			if int(f.Clock) > lastMin {
@@ -360,7 +360,7 @@ func (w *worker) runSSP() error {
 			// Staleness bound exceeded: pull the global parameters and block
 			// until the PS's clock service releases us.
 			sp := w.span("ssp-sync", "comm")
-			if err := w.ep.Send(w.srv, &xport.Frame{Kind: kindPull, From: int32(w.rank),
+			if err := w.ep.Send(w.srv, &xport.Frame{Kind: core.KindPull, From: int32(w.rank),
 				Clock: int32(it)}); err != nil {
 				return err
 			}
@@ -369,13 +369,13 @@ func (w *worker) runSSP() error {
 				if err != nil {
 					return err
 				}
-				if f.Kind == kindAck {
+				if f.Kind == core.KindAck {
 					if int(f.Clock) > lastMin {
 						lastMin = int(f.Clock)
 					}
 					continue
 				}
-				if f.Kind != kindParams {
+				if f.Kind != core.KindParams {
 					return fmt.Errorf("ssp worker: unexpected kind %d", f.Kind)
 				}
 				w.rep.setParams(f.Vec)
@@ -400,11 +400,11 @@ func (w *worker) runEASGD() error {
 		w.rep.localStep(g, cfg.LR.At(it-1))
 		if it%cfg.Tau == 0 {
 			sp := w.span("easgd-sync", "comm")
-			if err := w.ep.Send(w.srv, &xport.Frame{Kind: kindEASGDPush, From: int32(w.rank),
+			if err := w.ep.Send(w.srv, &xport.Frame{Kind: core.KindEASGDPush, From: int32(w.rank),
 				Clock: int32(it), Vec: w.rep.params()}); err != nil {
 				return err
 			}
-			f, err := w.mb.recvMatch(kindEASGDReply, int32(it), 0, false, recvTimeout)
+			f, err := w.mb.recvMatch(core.KindEASGDReply, int32(it), recvTimeout)
 			if err != nil {
 				return err
 			}
@@ -417,7 +417,8 @@ func (w *worker) runEASGD() error {
 }
 
 // runARSGD runs comm's ring or tree AllReduce — the simulator's code —
-// over arPort, so both clocks fold every chunk in the same order.
+// over the worker's port, so both clocks fold every chunk in the same
+// order.
 func (w *worker) runARSGD() error {
 	cfg := w.cfg
 	op, err := comm.OpByName(cfg.Collective)
@@ -428,7 +429,7 @@ func (w *worker) runARSGD() error {
 	for i := range full {
 		full[i] = i
 	}
-	port := &arPort{w: w}
+	port := w.port()
 	// A fast peer's next-round frames wait here, so the stash outlives
 	// the round.
 	var stash []simnet.Msg
@@ -453,7 +454,7 @@ func (w *worker) runARSGD() error {
 		port.quantize(agg)
 		sp := w.span("allreduce", "comm")
 		if _, _, err := comm.Run(port, comm.CollectiveOpts{Op: op, Nodes: nodes, Self: self,
-			Vec: agg, Kind: int(kindAllReduce), Clock: it, Stash: &stash}); err != nil {
+			Vec: agg, Kind: core.KindAllReduce, Clock: it, Stash: &stash}); err != nil {
 			return err
 		}
 		sp.End()
@@ -474,7 +475,7 @@ func (w *worker) runARSGD() error {
 // rank sends a restarted rank anything before its notice arrives: until
 // the dying incarnation has closed its mesh, a redial can still reach it,
 // and a frame it accepts is lost with it.
-func (w *worker) awaitResumed(port *arPort, nodes []int, self, it int, stash *[]simnet.Msg) error {
+func (w *worker) awaitResumed(port *wirePort, nodes []int, self, it int, stash *[]simnet.Msg) error {
 	if w.ch == nil {
 		return nil
 	}
@@ -492,7 +493,7 @@ func (w *worker) awaitResumed(port *arPort, nodes []int, self, it int, stash *[]
 			pos = self + 1
 		}
 		if _, _, err := comm.Run(port, comm.CollectiveOpts{Op: comm.OpBroadcast, Nodes: order, Self: pos,
-			Kind: int(kindResume), Clock: it, Stash: stash}); err != nil {
+			Kind: core.KindResume, Clock: it, Stash: stash}); err != nil {
 			return fmt.Errorf("resume notice from %d: %w", r, err)
 		}
 	}
@@ -514,7 +515,7 @@ func (w *worker) runGoSGD() error {
 			if !ok {
 				break
 			}
-			if f.Kind != kindGossip {
+			if f.Kind != core.KindGossip {
 				return fmt.Errorf("gosgd worker: unexpected kind %d", f.Kind)
 			}
 			w.weight = w.rep.weightedMerge(w.weight, f.Vec, f.Aux)
@@ -528,7 +529,7 @@ func (w *worker) runGoSGD() error {
 			w.weight = half
 			// Asymmetric push: fire and forget.
 			sp := w.span("gossip-push", "comm")
-			if err := w.ep.Send(t, &xport.Frame{Kind: kindGossip, From: int32(w.rank),
+			if err := w.ep.Send(t, &xport.Frame{Kind: core.KindGossip, From: int32(w.rank),
 				Clock: int32(it), Aux: half, Vec: w.rep.params()}); err != nil {
 				return err
 			}
@@ -594,11 +595,11 @@ func (w *worker) adpsgdActive(tokens <-chan int, passive []int) error {
 		// The communication thread overlaps the compute track, so its
 		// exchanges record on a separate tid.
 		sp := w.tr.StartSpan("adpsgd-exchange", "comm", workerPid, adpsgdCommTid+w.rank)
-		if err := w.ep.Send(peer, &xport.Frame{Kind: kindExchangeReq, From: int32(w.rank),
+		if err := w.ep.Send(peer, &xport.Frame{Kind: core.KindExchangeReq, From: int32(w.rank),
 			Clock: int32(it), Vec: w.rep.params()}); err != nil {
 			return err
 		}
-		f, err := w.mb.recvMatch(kindExchangeRep, int32(it), 0, false, recvTimeout)
+		f, err := w.mb.recvMatch(core.KindExchangeReply, int32(it), recvTimeout)
 		if err != nil {
 			return err
 		}
@@ -617,10 +618,10 @@ func (w *worker) adpsgdServe() {
 		if err != nil {
 			return // closed at shutdown (or wedged — shutdown will follow)
 		}
-		if f.Kind != kindExchangeReq {
+		if f.Kind != core.KindExchangeReq {
 			continue
 		}
-		if err := w.ep.Send(int(f.From), &xport.Frame{Kind: kindExchangeRep, From: int32(w.rank),
+		if err := w.ep.Send(int(f.From), &xport.Frame{Kind: core.KindExchangeReply, From: int32(w.rank),
 			Clock: f.Clock, Vec: w.rep.params()}); err != nil {
 			return
 		}

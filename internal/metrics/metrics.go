@@ -114,6 +114,10 @@ type FaultStats struct {
 	// Timeouts counts fault-mode receive waits that gave up (a dropped or
 	// partitioned message the protocol then worked around).
 	Timeouts int `json:"timeouts,omitempty"`
+	// LateGrads counts gradients that reached a BSP shard after their
+	// round had closed on a timeout; they are dropped, never summed into
+	// another round.
+	LateGrads int `json:"late_grads,omitempty"`
 	// Redraws counts gossip target draws made from a reduced (dead or
 	// partitioned peers excluded) candidate set.
 	Redraws int `json:"redraws,omitempty"`

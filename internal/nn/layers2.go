@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"disttrain/internal/rng"
 	"disttrain/internal/tensor"
 )
 
@@ -170,76 +169,6 @@ func (bn *BatchNorm) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	return bn.dx
-}
-
-// Dropout zeroes activations with probability p during training and scales
-// survivors by 1/(1−p) (inverted dropout); evaluation is the identity.
-type Dropout struct {
-	name  string
-	P     float64
-	r     *rng.RNG
-	mask  []bool
-	y, dx *tensor.Tensor
-	train bool
-	arena *tensor.Arena
-}
-
-// NewDropout creates a dropout layer with drop probability p, drawing its
-// masks from r (each replica should pass its own stream).
-func NewDropout(name string, p float64, r *rng.RNG) *Dropout {
-	if p < 0 || p >= 1 {
-		panic(fmt.Sprintf("nn: dropout %s p=%v", name, p))
-	}
-	return &Dropout{name: name, P: p, r: r}
-}
-
-func (d *Dropout) Name() string             { return d.name }
-func (d *Dropout) Params() []*Param         { return nil }
-func (d *Dropout) setArena(a *tensor.Arena) { d.arena = a }
-
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n := x.Size()
-	if d.y == nil || d.y.Size() != n {
-		d.arena.PutTensor(d.y)
-		d.arena.PutTensor(d.dx)
-		d.y = d.arena.GetTensor(x.Shape...)
-		d.dx = d.arena.GetTensor(x.Shape...)
-		d.mask = make([]bool, n)
-	}
-	d.y.Shape = append(d.y.Shape[:0], x.Shape...)
-	d.dx.Shape = append(d.dx.Shape[:0], x.Shape...)
-	d.train = train
-	if !train || d.P == 0 {
-		copy(d.y.Data, x.Data)
-		return d.y
-	}
-	scale := float32(1 / (1 - d.P))
-	for i, v := range x.Data {
-		if d.r.Float64() < d.P {
-			d.mask[i] = false
-			d.y.Data[i] = 0
-		} else {
-			d.mask[i] = true
-			d.y.Data[i] = v * scale
-		}
-	}
-	return d.y
-}
-
-func (d *Dropout) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	if !d.train || d.P == 0 {
-		copy(d.dx.Data, dout.Data)
-		return d.dx
-	}
-	scale := float32(1 / (1 - d.P))
-	for i, v := range dout.Data {
-		if d.mask[i] {
-			d.dx.Data[i] = v * scale
-		} else {
-			d.dx.Data[i] = 0
-		}
-	}
-	return d.dx
 }
 
 // GlobalAvgPool reduces [B,C,H,W] to [B,C] by averaging each channel's

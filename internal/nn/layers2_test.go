@@ -116,61 +116,6 @@ func TestGlobalAvgPoolValues(t *testing.T) {
 	}
 }
 
-func TestDropoutTrainEval(t *testing.T) {
-	r := rng.New(6)
-	d := NewDropout("drop", 0.5, r)
-	x := tensor.New(1, 1000)
-	x.Fill(1)
-	y := d.Forward(x, true)
-	zeros := 0
-	var sum float64
-	for _, v := range y.Data {
-		if v == 0 {
-			zeros++
-		}
-		sum += float64(v)
-	}
-	if zeros < 400 || zeros > 600 {
-		t.Fatalf("dropped %d of 1000 at p=0.5", zeros)
-	}
-	// Inverted dropout preserves the expected activation sum.
-	if math.Abs(sum-1000) > 120 {
-		t.Fatalf("activation mass %v, want ~1000", sum)
-	}
-	// Eval: identity.
-	y = d.Forward(x, false)
-	for _, v := range y.Data {
-		if v != 1 {
-			t.Fatal("eval dropout not identity")
-		}
-	}
-}
-
-func TestDropoutBackwardMatchesMask(t *testing.T) {
-	r := rng.New(7)
-	d := NewDropout("drop", 0.3, r)
-	x := tensor.New(1, 64)
-	x.Fill(1)
-	y := d.Forward(x, true)
-	dout := tensor.New(1, 64)
-	dout.Fill(1)
-	dx := d.Backward(dout)
-	for i := range y.Data {
-		if (y.Data[i] == 0) != (dx.Data[i] == 0) {
-			t.Fatalf("mask mismatch at %d", i)
-		}
-	}
-}
-
-func TestDropoutPanicsOnBadP(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewDropout("bad", 1.0, rng.New(1))
-}
-
 func TestBatchNormTrainingImprovesDeepNet(t *testing.T) {
 	// A BN-equipped model must train on the shapes-like task; this guards
 	// the full forward/backward integration, not just the gradcheck.

@@ -89,46 +89,6 @@ func (s *SGD) Reset() {
 	}
 }
 
-// Adam is the Adam optimizer (Kingma & Ba) on flat vectors — the optimizer
-// transformer-era models train with, provided as an extension next to
-// momentum SGD. Bias correction is applied.
-type Adam struct {
-	Beta1, Beta2 float32
-	Eps          float32
-	WeightDecay  float32
-	m, v         []float32
-	// b1t, b2t hold β₁ᵗ and β₂ᵗ for O(1) bias correction per step.
-	b1t, b2t float32
-}
-
-// NewAdam creates an Adam optimizer for vectors of length n with the
-// standard (0.9, 0.999, 1e-8) coefficients.
-func NewAdam(n int, weightDecay float32) *Adam {
-	return &Adam{Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: weightDecay,
-		m: make([]float32, n), v: make([]float32, n), b1t: 1, b2t: 1}
-}
-
-// Step applies one Adam update to params given grads and learning rate lr.
-func (a *Adam) Step(params, grads []float32, lr float32) {
-	if len(params) != len(a.m) || len(grads) != len(a.m) {
-		panic(fmt.Sprintf("opt: Adam step lengths %d/%d, want %d", len(params), len(grads), len(a.m)))
-	}
-	a.b1t *= a.Beta1
-	a.b2t *= a.Beta2
-	c1 := 1 - a.b1t
-	c2 := 1 - a.b2t
-	for i, g := range grads {
-		g += a.WeightDecay * params[i]
-		a.m[i] = a.Beta1*a.m[i] + (1-a.Beta1)*g
-		a.v[i] = a.Beta2*a.v[i] + (1-a.Beta2)*g*g
-		mhat := a.m[i] / c1
-		vhat := a.v[i] / c2
-		params[i] -= lr * mhat / (sqrt32(vhat) + a.Eps)
-	}
-}
-
-func sqrt32(x float32) float32 { return float32(math.Sqrt(float64(x))) }
-
 // Schedule is the paper's learning-rate policy: linear-scaled base rate,
 // gradual warm-up over the first WarmupIters iterations (from Base/Workers
 // up to Base·Workers... see NewPaperSchedule), then step decay.

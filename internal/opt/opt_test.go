@@ -238,52 +238,3 @@ func TestCosineDegenerateHorizon(t *testing.T) {
 		t.Fatalf("degenerate horizon = %v", got)
 	}
 }
-
-func TestAdamConvergesOnQuadratic(t *testing.T) {
-	target := []float32{3, -2, 7}
-	w := []float32{0, 0, 0}
-	a := NewAdam(3, 0)
-	g := make([]float32, 3)
-	for i := 0; i < 3000; i++ {
-		for j := range g {
-			g[j] = w[j] - target[j]
-		}
-		a.Step(w, g, 0.05)
-	}
-	for j := range w {
-		if math.Abs(float64(w[j]-target[j])) > 0.05 {
-			t.Fatalf("adam w = %v, want %v", w, target)
-		}
-	}
-}
-
-func TestAdamFirstStepIsLRSized(t *testing.T) {
-	// With bias correction, the very first step has magnitude ~lr regardless
-	// of gradient scale.
-	for _, scale := range []float32{0.001, 1, 1000} {
-		a := NewAdam(1, 0)
-		p := []float32{0}
-		a.Step(p, []float32{scale}, 0.1)
-		if math.Abs(float64(p[0])+0.1) > 1e-3 {
-			t.Fatalf("scale %v: first step %v, want ~-0.1", scale, p[0])
-		}
-	}
-}
-
-func TestAdamStepPanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewAdam(3, 0).Step([]float32{1}, []float32{1}, 0.1)
-}
-
-func TestAdamWeightDecay(t *testing.T) {
-	a := NewAdam(1, 0.5)
-	p := []float32{10}
-	a.Step(p, []float32{0}, 0.1)
-	if p[0] >= 10 {
-		t.Fatalf("weight decay did not shrink param: %v", p[0])
-	}
-}

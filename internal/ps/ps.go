@@ -3,9 +3,9 @@
 // segments of the flat parameter vector to PS shards, and the shared global
 // parameter state a set of shard processes updates.
 //
-// The policy loops — when a shard aggregates, replies, or waits — differ
-// per algorithm and live with the algorithms in internal/core; this package
-// provides the mechanism.
+// The policy — when a shard aggregates, replies, or waits — is
+// internal/core's Shard, which the simulator's shard processes and the
+// live runtime's PS rank both run; this package is only the mechanism.
 package ps
 
 import (
